@@ -20,7 +20,7 @@ from . import constructions as con
 from . import lattice as lat
 from . import sepprod as sp
 from .closure import (brute_force_closed, dump_system, enumerate_closed,
-                      AtomSubset, biclosure, polar)
+                      AtomSubset, EnumerationLimitError, biclosure, polar)
 from .orthospace import (dump_space, load_space, make_mo,
                          make_powerset_space, make_quadratic_line_space)
 
@@ -110,7 +110,10 @@ def product(left, right, do_enum, out):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if do_enum:
-        text = dump_system(enumerate_closed(prod))
+        try:
+            text = dump_system(enumerate_closed(prod))
+        except EnumerationLimitError as exc:
+            raise click.UsageError(str(exc))
     else:
         pairs = [[p, q] for p in range(prod.size)
                  for q in range(p + 1, prod.size) if prod.orth(p, q)]
@@ -146,18 +149,26 @@ def check(relation, w1, w2, out):
     except (KeyError, TypeError, ValueError,
             json.JSONDecodeError) as exc:
         raise click.UsageError(f"bad relation document: {exc}")
-    L1sys = enumerate_closed(left)
-    L2sys = enumerate_closed(right)
-    W1 = _load_w(w1, left, L1sys)
-    W2 = _load_w(w2, right, L2sys)
-    report = sp.check_axioms(prod, L1sys, L2sys, W1, W2)
+    try:
+        L1sys = enumerate_closed(left)
+        L2sys = enumerate_closed(right)
+        W1 = _load_w(w1, "W1", left, L1sys)
+        W2 = _load_w(w2, "W2", right, L2sys)
+        report = sp.check_axioms(prod, L1sys, L2sys, W1, W2)
+    except EnumerationLimitError as exc:
+        raise click.UsageError(str(exc))
     _emit(report.to_json(), out)
 
 
-def _load_w(spec_str, space_obj, sysobj):
+def _load_w(spec_str, name, space_obj, sysobj):
     if spec_str == "aut":
         return list(lat.automorphisms(space_obj, sysobj, mode="ortho"))
-    return [tuple(u) for u in json.loads(Path(spec_str).read_text())]
+    try:
+        W = [tuple(u) for u in json.loads(Path(spec_str).read_text())]
+        sp._validate_w(W, space_obj.size, name)
+    except (OSError, TypeError, ValueError) as exc:
+        raise click.UsageError(f"bad --{name.lower()} file: {exc}")
+    return W
 
 
 # ---------------------------------------------------------------- verify
@@ -371,20 +382,29 @@ def _suite_lemmas(config):
             sp.daniel_lift(f, src, dst)
         except sp.DanielConditionError:
             continue
+        except AssertionError:
+            ok = False
+            break
         passing += 1
+    witness = {"attempts": attempts}
+    if not ok:
+        witness["failing_map"] = f
     checks.append(("join-lift-50-maps",
                    "50 seeded maps passing the closed-preimage condition "
                    "lift to verified join-preserving maps",
-                   ok and passing == 50, {"attempts": attempts}))
+                   ok and passing == 50, witness))
+    desc = "the committed failing map reports its witness"
     try:
         sp.daniel_lift([0, 0, 1, 2], sys2, s3)
-        checks.append(("join-lift-failing-map", "", False, None))
+        checks.append(("join-lift-failing-map", desc, False, None))
     except sp.DanielConditionError as exc:
-        checks.append(("join-lift-failing-map",
-                       "the committed failing map reports its witness",
+        checks.append(("join-lift-failing-map", desc,
                        exc.target_ids == [0] and exc.preimage_ids == [0, 1],
                        {"target": exc.target_ids,
                         "preimage": exc.preimage_ids}))
+    except AssertionError as exc:
+        checks.append(("join-lift-failing-map", desc, False,
+                       {"error": str(exc)}))
     return checks
 
 

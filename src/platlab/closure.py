@@ -9,6 +9,7 @@ intersection-closure of the per-atom polar rows plus the full set.
 from __future__ import annotations
 
 import os
+from functools import cached_property
 
 from . import _kernel
 
@@ -142,9 +143,24 @@ def _canonical_key(mask: int):
 class ClosureSystem:
     """A fully enumerated intersection-closed family over one carrier.
 
+    ``masks`` holds the closed sets in canonical order (cardinality, then
+    the ascending index tuple) and ``index`` maps each one to its position.
     ``from_relation`` systems compute joins via biclosure; explicit families
     (e.g. traces of subspaces) fall back to a least-superset scan, which
     agrees with biclosure whenever both apply.
+
+    Order queries run on an order core built on the first such query: for
+    each atom p an int whose bit i is set iff ``masks[i]`` contains p
+    (n × |L| bits; the extent of p in the context (Σ, Σ, ⊥)).  A set of
+    closed sets is then an index bitset, and with k = |m| and w the length
+    in words of an |L|-bit int:
+
+    - ``up_set(m)``, the closed supersets of m: k ANDs of w words;
+    - ``down_set(m)``, the closed subsets of m: n − k ORs of w words;
+    - ``covers(a, b)``: one ``up_set`` and one ``down_set``;
+    - ``coatoms()``: one ``up_set`` per closed set, O(n·|L|·w) in all.
+
+    The build costs one pass over the members of every closed set.
     """
 
     def __init__(self, carrier, masks, from_relation=True):
@@ -182,15 +198,7 @@ class ClosureSystem:
         return self.subset(self._operand(a) & self._operand(b))
 
     def join(self, a, b) -> AtomSubset:
-        u = self._operand(a) | self._operand(b)
-        if self.from_relation:
-            j = _kernel.biclosure(self.carrier.rows, u, self.carrier.full,
-                                  self.carrier.size)
-        else:
-            j = self.carrier.full
-            for m in self.masks:
-                if m & u == u:
-                    j &= m
+        j = self.join_mask(self._operand(a) | self._operand(b))
         if j not in self.index:
             raise NotClosedError("join fell outside the system; "
                                  "the family is not a closure system")
@@ -207,30 +215,65 @@ class ClosureSystem:
                 j &= m
         return j
 
+    @cached_property
+    def _columns(self):
+        # the order core: bit i of cols[p] is set iff masks[i] contains p
+        cols = [0] * self.carrier.size
+        for i, m in enumerate(self.masks):
+            bit = 1 << i
+            while m:
+                low = m & -m
+                cols[low.bit_length() - 1] |= bit
+                m ^= low
+        return cols
+
+    def up_set(self, m: int) -> int:
+        """Index bitset of the closed supersets of an arbitrary mask m."""
+        acc = (1 << len(self.masks)) - 1
+        cols = self._columns
+        while m:
+            low = m & -m
+            acc &= cols[low.bit_length() - 1]
+            m ^= low
+        return acc
+
+    def down_set(self, m: int) -> int:
+        """Index bitset of the closed subsets of an arbitrary mask m."""
+        hit = 0
+        cols = self._columns
+        rest = self.carrier.full & ~m
+        while rest:
+            low = rest & -rest
+            hit |= cols[low.bit_length() - 1]
+            rest ^= low
+        return ((1 << len(self.masks)) - 1) ^ hit
+
+    def strictly_between(self, a: int, b: int) -> int:
+        """Index bitset of the closed c with a ⊊ c ⊊ b."""
+        between = self.up_set(a) & self.down_set(b)
+        for end in (a, b):
+            i = self.index.get(end)
+            if i is not None:
+                between &= ~(1 << i)
+        return between
+
     def covers(self, a, b) -> bool:
         """True iff b covers a: a ⊊ b with no closed set strictly between."""
         am, bm = self._operand(a), self._operand(b)
         if am & ~bm or am == bm:
             raise ValueError("covers() requires a ⊊ b")
-        for m in self.masks:
-            if m != am and m != bm and am & ~m == 0 and m & ~bm == 0:
-                return False
-        return True
+        return self.strictly_between(am, bm) == 0
 
     def atoms(self):
         """Closed singletons, in atom order where present."""
         return [m for m in self.masks if m.bit_count() == 1]
 
     def coatoms(self):
-        """Maximal proper members."""
-        out = []
-        for m in self.masks:
-            if m == self.carrier.full:
-                continue
-            if not any(n != m and n != self.carrier.full and m & ~n == 0
-                       for n in self.masks):
-                out.append(m)
-        return out
+        """Maximal proper members: the m ≠ Σ whose only strict closed
+        superset is Σ."""
+        full = self.carrier.full
+        return [m for m in self.masks
+                if m != full and self.up_set(m).bit_count() == 2]
 
 
 def enumerate_closed(space, max_atoms=None, max_sets=DEFAULT_SET_LIMIT

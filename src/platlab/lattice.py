@@ -92,7 +92,9 @@ def close_group(generators, degree, cap=1_000_000):
 def covering_property(sys: ClosureSystem) -> Verdict:
     """Does a ∨ p cover a for every closed a and atom p ∉ a?
 
-    On failure the witness is the minimal (a, p, intermediate c).
+    On failure the witness is the minimal (a, p, intermediate c); c is the
+    lowest index in the strictly-between bitset, i.e. the first in
+    canonical order.
     """
     for am in sys.masks:
         if am == sys.carrier.full:
@@ -100,10 +102,10 @@ def covering_property(sys: ClosureSystem) -> Verdict:
         for p in range(sys.carrier.size):
             if am >> p & 1:
                 continue
-            bm = sys.join_mask(am | (1 << p))
-            for cm in sys.masks:
-                if cm != am and cm != bm and am & ~cm == 0 and cm & ~bm == 0:
-                    return Verdict(False, (_ids(am), p, _ids(cm)))
+            between = sys.strictly_between(am, sys.join_mask(am | (1 << p)))
+            if between:
+                cm = sys.masks[(between & -between).bit_length() - 1]
+                return Verdict(False, (_ids(am), p, _ids(cm)))
     return Verdict(True, None)
 
 
@@ -254,13 +256,9 @@ def is_transitive(group: PermutationGroup) -> bool:
 
 
 def _minimal_nonzero(sys: ClosureSystem):
-    out = []
-    for m in sys.masks:
-        if m == 0:
-            continue
-        if not any(x != 0 and x != m and x & ~m == 0 for x in sys.masks):
-            out.append(m)
-    return out
+    """Closed sets whose only strict closed subset is ∅."""
+    return [m for m in sys.masks
+            if m != 0 and sys.down_set(m).bit_count() == 2]
 
 
 def find_orthocomplementation(sys: ClosureSystem,
@@ -281,8 +279,8 @@ def find_orthocomplementation(sys: ClosureSystem,
     coatoms = sys.coatoms()
     if len(atoms) != len(coatoms):
         return None
-    down = sorted(sum(1 for x in sys.masks if x & ~m == 0) for m in sys.masks)
-    up = sorted(sum(1 for x in sys.masks if m & ~x == 0) for m in sys.masks)
+    down = sorted(sys.down_set(m).bit_count() for m in sys.masks)
+    up = sorted(sys.up_set(m).bit_count() for m in sys.masks)
     if down != up:
         return None
 

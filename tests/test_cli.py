@@ -4,7 +4,8 @@ import pytest
 from click.testing import CliRunner
 
 from platlab import dump_space, make_mo, sharp
-from platlab.cli import main, regenerate_fixtures, run_search
+from platlab import sepprod as sp_module
+from platlab.cli import main, regenerate_fixtures, run_search, run_verify_suite
 
 runner = CliRunner()
 
@@ -132,3 +133,44 @@ def test_fixtures_regen_matches_committed(tmp_path, fixture_dir):
     for name in written:
         assert (tmp_path / name).read_bytes() == \
             (fixture_dir / name).read_bytes(), name
+
+
+def test_product_enumerate_over_limit_is_usage_error(tmp_path):
+    sp = tmp_path / "mo5.json"
+    sp.write_text(dump_space(make_mo(5)))
+    res = invoke("product", "--left", str(sp), "--right", str(sp),
+                 "--enumerate")
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "enumeration limit is 64" in res.output
+
+
+def test_check_rejects_non_permutation_w(tmp_path):
+    mo2 = make_mo(2)
+    doc = {"left": json.loads(dump_space(mo2)),
+           "right": json.loads(dump_space(mo2)), "pairs": []}
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps(doc))
+    w1 = tmp_path / "w1.json"
+    w1.write_text("[[0,0,1,2]]")
+    res = invoke("check", "--relation", str(rel), "--w1", str(w1))
+    assert res.exit_code == 2
+    assert "bad --w1 file" in res.output
+    assert "not a permutation" in res.output
+
+
+def test_lemmas_reports_failed_join_lift(monkeypatch):
+    def broken_lift(f, src, dst):
+        raise AssertionError("lifted map is not join-preserving")
+
+    monkeypatch.setattr(sp_module, "daniel_lift", broken_lift)
+    rep = run_verify_suite("lemmas", {"seed": 0, "trials": 25, "q": 3,
+                                      "lam": 1})
+    checks = {c["id"]: c for c in rep["checks"]}
+    lifts = checks["join-lift-50-maps"]
+    assert lifts["pass"] is False and rep["pass"] is False
+    assert lifts["witness"]["attempts"] == 1
+    assert len(lifts["witness"]["failing_map"]) in (3, 4)
+    failing = checks["join-lift-failing-map"]
+    assert failing["pass"] is False
+    assert failing["witness"] == {"error": "lifted map is not join-preserving"}
