@@ -1,38 +1,23 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The closure kernel: polar, biclosure and intersection closure on int
+bit-vectors, implemented in ``pykernel``.
 
-Set PLATLAB_PURE=1 to force the pure-Python kernel.  Callers must route
-spaces wider than 64 atoms through ``pykernel`` directly (see closure module);
-the helpers here dispatch on width automatically.
+The package calls the kernel through the functions below.  They are defined
+here, not re-exported, so that the benchmark tracer (perfbench/tracer.py) can
+wrap them apart from ``pykernel``, which ``constructions`` calls directly.
 """
-
-import os
 
 from . import pykernel
 
-if os.environ.get("PLATLAB_PURE"):
-    _impl = pykernel
-else:
-    try:
-        from . import ckernel as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = pykernel
-
-IMPLEMENTATION = _impl.IMPLEMENTATION
+IMPLEMENTATION = pykernel.IMPLEMENTATION
 
 
-def _pick(n_atoms):
-    if n_atoms > 64:
-        return pykernel
-    return _impl
+def polar(rows, mask, full):
+    return pykernel.polar(rows, mask, full)
 
 
-def polar(rows, mask, full, n_atoms):
-    return _pick(n_atoms).polar(rows, mask, full)
+def biclosure(rows, mask, full):
+    return pykernel.biclosure(rows, mask, full)
 
 
-def biclosure(rows, mask, full, n_atoms):
-    return _pick(n_atoms).biclosure(rows, mask, full)
-
-
-def intersection_closure(seeds, full, n_atoms, max_sets=0):
-    return _pick(n_atoms).intersection_closure(seeds, full, max_sets)
+def intersection_closure(seeds, full, max_sets=0):
+    return pykernel.intersection_closure(seeds, full, max_sets)

@@ -1,7 +1,7 @@
 """Pure-Python closure kernel.
 
 Subsets of atoms are plain ints used as bit-vectors, so this kernel has no
-width limit (the compiled kernel is restricted to 64 atoms).
+width limit.
 """
 
 IMPLEMENTATION = "python"

@@ -12,6 +12,7 @@ import os
 from functools import cached_property
 
 from . import _kernel
+from .bits import ids
 
 DEFAULT_ATOM_LIMIT = 64
 DEFAULT_SET_LIMIT = 5_000_000
@@ -66,12 +67,7 @@ class AtomSubset:
         return cls(space, space.full)
 
     def indices(self):
-        m, out = self.bits, []
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        return ids(self.bits)
 
     def cardinality(self) -> int:
         return self.bits.bit_count()
@@ -121,8 +117,7 @@ def polar(space, a: AtomSubset) -> AtomSubset:
     """Atoms related to every atom of ``a``; polar(∅) = Σ."""
     if not _same_carrier(space, a.space):
         raise CarrierMismatchError("subset does not belong to this carrier")
-    return AtomSubset(space,
-                      _kernel.polar(space.rows, a.bits, space.full, space.size))
+    return AtomSubset(space, _kernel.polar(space.rows, a.bits, space.full))
 
 
 def biclosure(space, a: AtomSubset) -> AtomSubset:
@@ -132,12 +127,8 @@ def biclosure(space, a: AtomSubset) -> AtomSubset:
 
 def _canonical_key(mask: int):
     # cardinality, then lexicographic on the ascending index tuple
-    m, ids = mask, []
-    while m:
-        low = m & -m
-        ids.append(low.bit_length() - 1)
-        m ^= low
-    return len(ids), tuple(ids)
+    key = ids(mask)
+    return len(key), tuple(key)
 
 
 class ClosureSystem:
@@ -207,8 +198,7 @@ class ClosureSystem:
     def join_mask(self, u: int) -> int:
         """Least closed superset of an arbitrary mask (not required closed)."""
         if self.from_relation:
-            return _kernel.biclosure(self.carrier.rows, u, self.carrier.full,
-                                     self.carrier.size)
+            return _kernel.biclosure(self.carrier.rows, u, self.carrier.full)
         j = self.carrier.full
         for m in self.masks:
             if m & u == u:
@@ -285,8 +275,7 @@ def enumerate_closed(space, max_atoms=None, max_sets=DEFAULT_SET_LIMIT
         raise EnumerationLimitError(
             f"carrier has {space.size} atoms, enumeration limit is {limit}")
     try:
-        masks = _kernel.intersection_closure(space.rows, space.full,
-                                             space.size, max_sets)
+        masks = _kernel.intersection_closure(space.rows, space.full, max_sets)
     except ValueError as exc:
         raise EnumerationLimitError(str(exc)) from None
     return ClosureSystem(space, masks)
@@ -302,7 +291,7 @@ def brute_force_closed(space, max_atoms=20) -> ClosureSystem:
             f"brute force limited to {max_atoms} atoms")
     rows, full, n = space.rows, space.full, space.size
     masks = [m for m in range(1 << n)
-             if _kernel.biclosure(rows, m, full, n) == m]
+             if _kernel.biclosure(rows, m, full) == m]
     return ClosureSystem(space, masks)
 
 

@@ -13,21 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._kernel import pykernel
-from .closure import ClosureSystem, EnumerationLimitError
+from .bits import ids, rect
+from .closure import ClosureSystem, EnumerationLimitError, _canonical_key
 from .gf import field
-from .lattice import find_orthocomplementation, invert
+from .lattice import apply_perm_mask, find_orthocomplementation, invert
 from .orthospace import OrthoSpace, make_mo, make_quadratic_line_space, \
     projective_line_points
 from .sepprod import ProductSpace, separated_product
-
-
-def _ids(mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @dataclass(frozen=True)
@@ -66,17 +58,6 @@ class CRelation:
         return cls(space, tuple([0] * space.size))
 
 
-def _rect(prod: ProductSpace, mask1: int, mask2: int) -> int:
-    """mask1 × mask2 as a product-atom mask."""
-    n2 = prod.right.size
-    out = 0
-    while mask1:
-        low = mask1 & -mask1
-        out |= mask2 << ((low.bit_length() - 1) * n2)
-        mask1 ^= low
-    return out
-
-
 def _require_sharp(prod: ProductSpace):
     if prod.relation_name != "sharp":
         raise ValueError("builders start from the # product space")
@@ -91,7 +72,8 @@ def build_perp2(prod: ProductSpace, C1: CRelation, C2: CRelation
     rows = []
     for p in range(prod.size):
         i, j = prod.decode(p)
-        rows.append(prod.sharp_row(p) | _rect(prod, C1.rows[i], C2.rows[j]))
+        rows.append(prod.sharp_row(p)
+                    | rect(C1.rows[i], C2.rows[j], prod.right.size))
     return ProductSpace(prod.left, prod.right, rows, "perp2")
 
 
@@ -197,17 +179,12 @@ class FactorBijection:
             raise ValueError("twisting map must not be the identity")
         finv = invert(f)
         for p in range(space.size):
-            pre = 0
-            m = space.rows[p]
-            while m:
-                low = m & -m
-                pre |= 1 << finv[low.bit_length() - 1]
-                m ^= low
+            pre = apply_perm_mask(finv, space.rows[p])
             if pre != space.rows[f[p]]:
                 raise ValueError(
                     f"polar-preimage condition fails at atom {p}: "
-                    f"f^-1(polar({p})) = {_ids(pre)} but polar(f({p})) = "
-                    f"{_ids(space.rows[f[p]])}")
+                    f"f^-1(polar({p})) = {ids(pre)} but polar(f({p})) = "
+                    f"{ids(space.rows[f[p]])}")
         for p in range(space.size):
             if space.rows[p] >> f[p] & 1:
                 raise ValueError(
@@ -375,7 +352,7 @@ def tensor_trace_lattice(q: int, lam: int):
 
     contains = all(m in family_sys.index for m in sepsys.masks)
     witness = None
-    for m in sorted(traces, key=lambda x: (x.bit_count(), _ids(x))):
+    for m in sorted(traces, key=_canonical_key):
         if m not in sepsys.index:
             witness = m
             break
@@ -387,7 +364,7 @@ def tensor_trace_lattice(q: int, lam: int):
         intersection_closed=raw_closed,
         contains_sepprod=contains,
         strict=witness is not None,
-        strictness_witness=_ids(witness) if witness is not None else [],
+        strictness_witness=ids(witness) if witness is not None else [],
         triples=triples,
         orthocomplementation="none" if oc is None else "found",
     )
@@ -395,7 +372,7 @@ def tensor_trace_lattice(q: int, lam: int):
 
 
 def _pairwise_product_distinct(prod: ProductSpace, mask: int) -> bool:
-    atoms = [prod.decode(p) for p in _ids(mask)]
+    atoms = [prod.decode(p) for p in ids(mask)]
     for i in range(len(atoms)):
         for j in range(i + 1, len(atoms)):
             if atoms[i][0] == atoms[j][0] or atoms[i][1] == atoms[j][1]:

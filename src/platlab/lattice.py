@@ -10,20 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bits import ids
 from .closure import AtomSubset, ClosureSystem, EnumerationLimitError, polar
 from .orthospace import Verdict
 
 AUTOMORPHISM_SEARCH_LIMIT = 16
 ORTHOCOMPLEMENT_SEARCH_LIMIT = 1000
-
-
-def _ids(mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @dataclass(frozen=True)
@@ -105,7 +97,7 @@ def covering_property(sys: ClosureSystem) -> Verdict:
             between = sys.strictly_between(am, sys.join_mask(am | (1 << p)))
             if between:
                 cm = sys.masks[(between & -between).bit_length() - 1]
-                return Verdict(False, (_ids(am), p, _ids(cm)))
+                return Verdict(False, (ids(am), p, ids(cm)))
     return Verdict(True, None)
 
 
@@ -117,7 +109,7 @@ def orthomodularity(space, sys: ClosureSystem) -> Verdict:
             if am & ~bm:
                 continue
             if sys.join_mask(am | (bm & pa)) != bm:
-                return Verdict(False, (_ids(am), _ids(bm)))
+                return Verdict(False, (ids(am), ids(bm)))
     return Verdict(True, None)
 
 

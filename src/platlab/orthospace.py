@@ -142,33 +142,35 @@ def make_quadratic_line_space(q: int, lam: int) -> OrthoSpace:
     return OrthoSpace(labels, _rows_from_pairs(len(points), pairs))
 
 
+def _anti_reflexive(space) -> Verdict:
+    """Fails at the first atom p with orth(p, p)."""
+    for p in range(space.size):
+        if space.rows[p] >> p & 1:
+            return Verdict(False, p)
+    return Verdict(True, None)
+
+
+def _symmetric(space) -> Verdict:
+    """Fails at the first pair (p, q) with orth(p, q) ≠ orth(q, p)."""
+    for p in range(space.size):
+        for q in range(space.size):
+            if space.orth(p, q) != space.orth(q, p):
+                return Verdict(False, (p, q))
+    return Verdict(True, None)
+
+
 def validate_relation(space: OrthoSpace) -> RelationReport:
     """Check anti-reflexivity, symmetry and the separating law exhaustively.
 
     Witnesses are lexicographically minimal; never raises.
     """
-    anti = Verdict(True, None)
-    for p in range(space.size):
-        if space.rows[p] >> p & 1:
-            anti = Verdict(False, p)
-            break
-    sym = Verdict(True, None)
-    done = False
-    for p in range(space.size):
-        for q in range(space.size):
-            if space.orth(p, q) != space.orth(q, p):
-                sym = Verdict(False, (p, q))
-                done = True
-                break
-        if done:
-            break
     sep = Verdict(True, None)
     for p in range(space.size):
         bit = 1 << p
-        if _kernel.biclosure(space.rows, bit, space.full, space.size) != bit:
+        if _kernel.biclosure(space.rows, bit, space.full) != bit:
             sep = Verdict(False, p)
             break
-    return RelationReport(anti, sym, sep)
+    return RelationReport(_anti_reflexive(space), _symmetric(space), sep)
 
 
 def dump_space(space: OrthoSpace) -> str:

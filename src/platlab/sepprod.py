@@ -13,10 +13,11 @@ import random
 from dataclasses import dataclass, field
 
 from . import _kernel
+from .bits import ids, rect
 from .closure import (AtomSubset, CarrierMismatchError, ClosureSystem,
                       enumerate_closed)
 from .lattice import apply_perm_mask, automorphisms, invert
-from .orthospace import OrthoSpace, Verdict
+from .orthospace import OrthoSpace, Verdict, _anti_reflexive, _symmetric
 
 
 class ProductSpace:
@@ -67,22 +68,11 @@ class ProductSpace:
 
     def cylinder1(self, mask1: int) -> int:
         """a₁ × Σ₂ as a product mask."""
-        n2 = self.right.size
-        block = (1 << n2) - 1
-        out = 0
-        while mask1:
-            low = mask1 & -mask1
-            out |= block << ((low.bit_length() - 1) * n2)
-            mask1 ^= low
-        return out
+        return rect(mask1, self.right.full, self.right.size)
 
     def cylinder2(self, mask2: int) -> int:
         """Σ₁ × a₂ as a product mask."""
-        n2 = self.right.size
-        out = 0
-        for i in range(self.left.size):
-            out |= mask2 << (i * n2)
-        return out
+        return rect(self.left.full, mask2, self.right.size)
 
     def sharp_row(self, p: int) -> int:
         """p₁^⊥×Σ₂ ∪ Σ₁×p₂^⊥, from the factor relations (the # coatom)."""
@@ -103,38 +93,26 @@ class ProductSpace:
 
 
 def _require_valid_factor(space: OrthoSpace, which: str):
-    for p in range(space.size):
-        if space.rows[p] >> p & 1:
-            raise ValueError(f"invalid {which} factor relation: "
-                             f"orth({p},{p}) set")
-        for q in range(space.size):
-            if space.orth(p, q) != space.orth(q, p):
-                raise ValueError(f"invalid {which} factor relation: "
-                                 f"asymmetric at ({p},{q})")
+    # the lowest defective atom is reported; at one atom, orth(p, p) first
+    anti, sym = _anti_reflexive(space), _symmetric(space)
+    if not anti.holds and (sym.holds or anti.witness <= sym.witness[0]):
+        p = anti.witness
+        raise ValueError(f"invalid {which} factor relation: "
+                         f"orth({p},{p}) set")
+    if not sym.holds:
+        p, q = sym.witness
+        raise ValueError(f"invalid {which} factor relation: "
+                         f"asymmetric at ({p},{q})")
 
 
 def sharp(left: OrthoSpace, right: OrthoSpace) -> ProductSpace:
     """The product space under #: p#q iff p₁⊥q₁ or p₂⊥q₂."""
     _require_valid_factor(left, "left")
     _require_valid_factor(right, "right")
-    rows = []
     n2 = right.size
-    for i in range(left.size):
-        c1 = None
-        for j in range(n2):
-            if c1 is None:
-                c1 = 0
-                m = left.rows[i]
-                block = (1 << n2) - 1
-                while m:
-                    low = m & -m
-                    c1 |= block << ((low.bit_length() - 1) * n2)
-                    m ^= low
-            c2 = 0
-            for k in range(left.size):
-                c2 |= right.rows[j] << (k * n2)
-            rows.append(c1 | c2)
-    return ProductSpace(left, right, rows, "sharp")
+    c1 = [rect(row, right.full, n2) for row in left.rows]
+    c2 = [rect(left.full, row, n2) for row in right.rows]
+    return ProductSpace(left, right, [a | b for a in c1 for b in c2], "sharp")
 
 
 def separated_product(left: OrthoSpace, right: OrthoSpace):
@@ -192,7 +170,7 @@ class AxiomReport:
 def _check_separating(prod: ProductSpace) -> Verdict:
     for p in range(prod.size):
         bit = 1 << p
-        if _kernel.biclosure(prod.rows, bit, prod.full, prod.size) != bit:
+        if _kernel.biclosure(prod.rows, bit, prod.full) != bit:
             return Verdict(False, p)
     return Verdict(True, None)
 
@@ -202,7 +180,7 @@ def _check_p2_cylinders(prod, sys, L1sys, L2sys) -> Verdict:
         for a2 in L2sys.masks:
             u = prod.cylinder1(a1) | prod.cylinder2(a2)
             if u not in sys.index:
-                return Verdict(False, {"a1": _ids(a1), "a2": _ids(a2)})
+                return Verdict(False, {"a1": ids(a1), "a2": ids(a2)})
     return Verdict(True, None)
 
 
@@ -217,10 +195,10 @@ def _check_p3(prod, sys, L1sys, L2sys) -> Verdict:
     for m in sys.masks:
         a1 = _cylinder1_base(prod, m)
         if a1 is not None and a1 not in L1sys.index:
-            return Verdict(False, {"side": 1, "set": _ids(a1)})
+            return Verdict(False, {"side": 1, "set": ids(a1)})
         a2 = _cylinder2_base(prod, m)
         if a2 is not None and a2 not in L2sys.index:
-            return Verdict(False, {"side": 2, "set": _ids(a2)})
+            return Verdict(False, {"side": 2, "set": ids(a2)})
     return Verdict(True, None)
 
 
@@ -250,7 +228,7 @@ def _check_p4(prod, sys, W1, W2) -> Verdict:
             for m in sys.masks:
                 if apply_perm_mask(perm, m) not in sys.index:
                     return Verdict(False, {"u1": list(u1), "u2": list(u2),
-                                           "set": _ids(m)})
+                                           "set": ids(m)})
     return Verdict(True, None)
 
 
@@ -263,10 +241,9 @@ def _check_p5(prod) -> Verdict:
     return Verdict(True, None)
 
 
-def _check_p4star(prod, sys, W1, W2) -> Verdict:
-    p4 = _check_p4(prod, sys, W1, W2)
-    if not p4.holds:
-        return p4
+def _check_lifts_commute(prod, W1, W2) -> Verdict:
+    """Does every lifted pair (u₁, u₂) commute with the polarity on atoms?
+    P4* is P4 plus this."""
     for u1 in W1:
         for u2 in W2:
             perm = lift_product_map(prod, u1, u2)
@@ -275,15 +252,6 @@ def _check_p4star(prod, sys, W1, W2) -> Verdict:
                     return Verdict(False, {"u1": list(u1), "u2": list(u2),
                                            "atom": p})
     return Verdict(True, None)
-
-
-def _ids(mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _validate_w(W, degree, name):
@@ -324,7 +292,7 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
     p5 = _check_p5(prod)
     if W1 and W2:
         p4 = _check_p4(prod, sys, W1, W2)
-        p4star = _check_p4star(prod, sys, W1, W2)
+        p4star = p4 if not p4.holds else _check_lifts_commute(prod, W1, W2)
     else:
         p4 = Verdict(None, None)
         p4star = Verdict(None, None)
@@ -344,7 +312,7 @@ def p_hash_components(prod: ProductSpace, p: int):
     Returns (s₁, s₂, k): s₁ = {q₁ : q₁×Σ₂ ⊆ p^⊥}, symmetrically s₂, and
     k = |{q : q's # coatom ⊆ p^⊥}| (k > 1 signals a P3 failure).
     """
-    perp = _kernel.polar(prod.rows, 1 << p, prod.full, prod.size)
+    perp = _kernel.polar(prod.rows, 1 << p, prod.full)
     s1 = 0
     for i in range(prod.left.size):
         if prod.cylinder1(1 << i) & ~perp == 0:
@@ -401,11 +369,11 @@ def daniel_lift(f, L1sys: ClosureSystem, L2sys: ClosureSystem) -> LatticeMap:
             if bm >> f[p] & 1:
                 pre |= 1 << p
         if pre not in L1sys.index:
-            raise DanielConditionError(_ids(bm), _ids(pre))
+            raise DanielConditionError(ids(bm), ids(pre))
     table = {}
     for am in L1sys.masks:
         img = 0
-        for p in _ids(am):
+        for p in ids(am):
             img |= 1 << f[p]
         table[am] = L2sys.join_mask(img)
     for am in L1sys.masks:
@@ -507,9 +475,8 @@ def perturbation_test(left: OrthoSpace, right: OrthoSpace, sampler=None,
         failing = _first_failing_axiom(prod, L1sys, L2sys, W1, W2)
         if failing is None:
             eq4_holds = all(
-                _kernel.polar(prod.rows, prod.sharp_row(p), prod.full,
-                              prod.size) == 1 << p
-                for p in range(prod.size))
+                _kernel.polar(prod.rows, prod.sharp_row(p), prod.full)
+                == 1 << p for p in range(prod.size))
             contradictions.append({"pairs": [list(e) for e in pairs],
                                    "eq4_conclusion_holds": eq4_holds})
         else:

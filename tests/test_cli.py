@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from platlab import dump_space, make_mo, sharp
+from platlab import Verdict, dump_space, make_mo, sharp
 from platlab import sepprod as sp_module
 from platlab.cli import main, regenerate_fixtures, run_search, run_verify_suite
 
@@ -174,3 +175,21 @@ def test_lemmas_reports_failed_join_lift(monkeypatch):
     failing = checks["join-lift-failing-map"]
     assert failing["pass"] is False
     assert failing["witness"] == {"error": "lifted map is not join-preserving"}
+
+
+def test_perp4_builds_fails_when_p2_holds(monkeypatch):
+    real = sp_module.check_axioms
+
+    def p2_holds_on_perp4(prod, *args):
+        rep = real(prod, *args)
+        if prod.relation_name == "perp4":
+            rep = dataclasses.replace(rep, p2=Verdict(True, None))
+        return rep
+
+    monkeypatch.setattr(sp_module, "check_axioms", p2_holds_on_perp4)
+    rep = run_verify_suite("constructions", {"seed": 0, "trials": 25, "q": 3,
+                                             "lam": 1})
+    checks = {c["id"]: c for c in rep["checks"]}
+    assert checks["perp4-builds"]["pass"] is False
+    assert checks["perp4-builds"]["witness"] is True
+    assert rep["pass"] is False

@@ -116,7 +116,11 @@ def test_perp4_builds_and_reports(setup, mo2_sys):
     for p in range(rel.size):
         assert rel.rows[p] & prod.sharp_row(p) == prod.sharp_row(p)
     rep = check_axioms(rel, mo2_sys, mo2_sys, W, W).to_json()
-    assert isinstance(rep["P4"]["holds"], bool)
+    # on mo2 the minimal pairing data makes the relation non-separating
+    assert rep["separating"]["holds"] is False
+    assert rep["P2"]["holds"] is False
+    assert rep["P4"]["holds"] is False
+    assert rep["P4star"] == rep["P4"]
 
 
 def test_factor_bijection_validation(mo2):

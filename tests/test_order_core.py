@@ -6,6 +6,9 @@ They run on random symmetric, anti-reflexive relations of up to 10 atoms
 (checked against ``brute_force_closed`` too), on intersection-closures of
 random families built with ``from_relation=False``, and on arbitrary
 families that contain ∅ and Σ but need not be intersection-closed.
+
+``orthomodularity`` and ``center`` are checked on the same relations against
+oracles that follow their definitions over the 2^Σ brute-force family.
 """
 
 from hypothesis import given, settings
@@ -14,7 +17,9 @@ from hypothesis import strategies as st
 from platlab import ClosureSystem, OrthoSpace, brute_force_closed
 from platlab import enumerate_closed
 from platlab._kernel import pykernel
-from platlab.lattice import _ids, _minimal_nonzero, covering_property
+from platlab.bits import ids
+from platlab.lattice import (_minimal_nonzero, center, covering_property,
+                             orthomodularity)
 from platlab.orthospace import Verdict
 
 MAX_ATOMS = 10
@@ -67,7 +72,7 @@ def old_covering_property(sys):
             bm = sys.join_mask(am | (1 << p))
             for cm in sys.masks:
                 if cm != am and cm != bm and am & ~cm == 0 and cm & ~bm == 0:
-                    return Verdict(False, (_ids(am), p, _ids(cm)))
+                    return Verdict(False, (ids(am), p, ids(cm)))
     return Verdict(True, None)
 
 
@@ -177,3 +182,54 @@ def test_order_core_is_lazy():
     assert sys.coatoms() == [0b01, 0b10]
     assert vars(sys)["_columns"] == [0b1010, 0b1100]
 
+
+# ---------------------------------------------- definition oracles
+
+def _definitions(space):
+    """The brute-force closed sets, the polar atom by atom, and the join
+    (least closed superset) of every subset of Σ."""
+    closed = brute_force_closed(space).masks
+    n = space.size
+
+    def perp(a):
+        return sum(1 << q for q in range(n)
+                   if all(space.orth(p, q) for p in ids(a)))
+
+    join = [_meet_of_supersets(closed, u, space.full) for u in range(1 << n)]
+    return closed, perp, join
+
+
+def oracle_orthomodularity(closed, perp, join):
+    """b = a ∨ (b ∧ a^⊥) for all closed a ⊆ b; the first failing (a, b)."""
+    for a in closed:
+        pa = perp(a)
+        for b in closed:
+            if a & ~b == 0 and join[a | (b & pa)] != b:
+                return Verdict(False, (ids(a), ids(b)))
+    return Verdict(True, None)
+
+
+def oracle_center(space, closed, perp, join):
+    """z with z^⊥ = Σ∖z closed and (x, y) ↦ x ∨ y a bijection from
+    [0, z] × [0, Σ∖z] onto the closed sets."""
+    members = set(closed)
+    out = []
+    for z in closed:
+        c = space.full ^ z
+        if c not in members or perp(z) != c:
+            continue
+        images = [join[x | y] for x in closed if x & ~z == 0
+                  for y in closed if y & ~c == 0]
+        if len(set(images)) == len(images) and set(images) == members:
+            out.append(z)
+    return out
+
+
+@SETTINGS
+@given(relations())
+def test_orthomodularity_and_center_match_definitions(space):
+    sys = enumerate_closed(space)
+    closed, perp, join = _definitions(space)
+    assert orthomodularity(space, sys) == \
+        oracle_orthomodularity(closed, perp, join)
+    assert center(sys, space) == oracle_center(space, closed, perp, join)

@@ -6,6 +6,7 @@ from platlab import (AtomSubset, check_axioms, daniel_lift, dump_system,
                      enumerate_closed, lift_product_map, make_mo,
                      make_powerset_space, p_hash_components, p_sharp,
                      perturbation_test, separated_product, sharp)
+from platlab import sepprod
 from platlab.closure import CarrierMismatchError
 from platlab.lattice import automorphisms
 from platlab.sepprod import (DanielConditionError, ProductSpace,
@@ -25,8 +26,14 @@ def test_sharp_relation_definition(mo2):
 def test_sharp_rejects_invalid_factor():
     from platlab.orthospace import OrthoSpace
     bad = OrthoSpace(["x", "y"], (0b01, 0b01))  # reflexive
-    with pytest.raises(ValueError, match="invalid left factor"):
+    with pytest.raises(ValueError,
+                       match=r"invalid left factor relation: orth\(0,0\) set"):
         sharp(bad, make_mo(2))
+    # the lowest defective atom is reported: 0 is asymmetric, 1 reflexive
+    bad = OrthoSpace(["x", "y"], (0b10, 0b10))
+    with pytest.raises(ValueError, match=r"invalid right factor relation: "
+                                         r"asymmetric at \(0,1\)"):
+        sharp(make_mo(2), bad)
 
 
 def test_product_space_validates_rows(mo2):
@@ -86,6 +93,23 @@ def test_axioms_on_separated_product(mo2, mo2_sys, mo2_product):
     for key in ("P1", "P2", "P3", "P4", "P5", "P4star", "separating"):
         assert rep[key]["holds"] is True, key
     assert rep["w1_inverse_closed"] and rep["w2_inverse_closed"]
+
+
+def test_check_axioms_decides_p4_once(monkeypatch, mo2, mo2_sys,
+                                     mo2_product):
+    calls = []
+    real = sepprod._check_p4
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sepprod, "_check_p4", counting)
+    prod, psys = mo2_product
+    W = list(automorphisms(mo2, mo2_sys, mode="ortho"))
+    rep = check_axioms(prod, mo2_sys, mo2_sys, W, W, psys)
+    assert rep.p4.holds and rep.p4star.holds
+    assert len(calls) == 1
 
 
 def test_axioms_vacuous_without_w(mo2, mo2_sys, mo2_product):
