@@ -2,8 +2,10 @@
 suites, fixture regeneration, and the relation search.
 
 Exit codes: 0 all checks pass, 1 a verified violation of an expected
-property, 2 usage or configuration error.  Reports are byte-deterministic
-for a given seed; wall times go to stderr only.
+property, 2 usage or configuration error.  ``check`` and ``search`` are
+report commands and exit 0 whatever they find: failing axioms are the
+expected answer for the counterexample relations.  Reports are
+byte-deterministic for a given seed; wall times go to stderr only.
 """
 
 from __future__ import annotations
@@ -22,19 +24,21 @@ from . import sepprod as sp
 from .bits import rect
 from .closure import (brute_force_closed, dump_system, enumerate_closed,
                       AtomSubset, EnumerationLimitError, biclosure, polar)
-from .orthospace import (dump_space, load_space, make_mo,
+from .orthospace import (_separating, dump_space, load_space, make_mo,
                          make_powerset_space, make_quadratic_line_space)
 
 FIXTURE_DIR = Path("fixtures")
 
 
-
-def _emit(doc, out):
-    text = json.dumps(doc, indent=2) + "\n"
+def _write(text, out):
     if out:
         Path(out).write_text(text)
     else:
         click.echo(text, nl=False)
+
+
+def _emit(doc, out):
+    _write(json.dumps(doc, indent=2) + "\n", out)
 
 
 @click.group()
@@ -58,7 +62,7 @@ def mo(n, out):
         s = make_mo(n)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _write_space(s, out)
+    _write(dump_space(s) + "\n", out)
 
 
 @space.command()
@@ -70,7 +74,7 @@ def powerset(n, out):
         s = make_powerset_space(n)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _write_space(s, out)
+    _write(dump_space(s) + "\n", out)
 
 
 @space.command()
@@ -83,15 +87,7 @@ def quad(q, lam, out):
         s = make_quadratic_line_space(q, lam)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _write_space(s, out)
-
-
-def _write_space(s, out):
-    text = dump_space(s) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    _write(dump_space(s) + "\n", out)
 
 
 # --------------------------------------------------------------- product
@@ -119,10 +115,7 @@ def product(left, right, do_enum, out):
         pairs = [[p, q] for p in range(prod.size)
                  for q in range(p + 1, prod.size) if prod.orth(p, q)]
         text = json.dumps({"atoms": prod.size, "pairs": pairs}) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    _write(text, out)
 
 
 @main.command()
@@ -259,7 +252,7 @@ def _suite_theorem2(config):
                    "ortho-automorphisms", allok, None))
     checks.append(("w-transitive",
                    "the factor automorphism group is transitive",
-                   lat.is_transitive(lat.PermutationGroup(4, tuple(W), True)),
+                   lat.is_transitive(lat.PermutationGroup(4, tuple(W))),
                    None))
     summ = sp.perturbation_test(make_mo(2), make_mo(2),
                                 trials=config["trials"], seed=config["seed"])
@@ -317,7 +310,7 @@ def _suite_lemmas(config):
             _kernel.biclosure(px.rows, px.sharp_row(p), px.full)
             & ~px.sharp_row(p) == 0
             for p in range(px.size))
-        sep = sp._check_separating(px).holds
+        sep = _separating(px).holds
         if shrinks and not sep:
             ok = False
     checks.append(("coatom-shrink-implies-separating",
@@ -630,15 +623,21 @@ def regenerate_fixtures(directory: Path) -> list:
     written.append("l5_mo2.clos.txt")
 
     _, report = con.tensor_trace_lattice(3, 1)
-    (directory / "l0_q3.json").write_text(
-        json.dumps(report.to_json(), indent=2) + "\n")
+    _emit(report.to_json(), directory / "l0_q3.json")
     written.append("l0_q3.json")
 
-    (directory / "daniel_failing_map.json").write_text(json.dumps({
-        "source": "mo2", "target": "powerset3", "map": [0, 0, 1, 2],
-        "expected_witness": {"target_set": [0], "preimage": [0, 1]},
-    }, indent=2) + "\n")
+    _emit({"source": "mo2", "target": "powerset3", "map": [0, 0, 1, 2],
+           "expected_witness": {"target_set": [0], "preimage": [0, 1]}},
+          directory / "daniel_failing_map.json")
     written.append("daniel_failing_map.json")
+
+    # golden `plat verify -o` reports: seed 0 and the verify defaults
+    (directory / "verify").mkdir(exist_ok=True)
+    for suite in SUITES:
+        name = f"verify/{suite}.json"
+        config = {"seed": 0, "trials": 500, "q": 3, "lam": 1}
+        _emit(run_verify_suite(suite, config), directory / name)
+        written.append(name)
     return written
 
 

@@ -3,15 +3,18 @@
 Covering property, orthomodularity, center and central covers,
 automorphism search, transitivity, and existence of an orthocomplementation.
 All witnesses are lexicographically minimal in the canonical closed-set
-order, so reports are deterministic.
+order, so reports are deterministic.  The analyses that read ⊥ need the
+closure system of the carrier's own relation (CarrierMismatchError if not).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _kernel
 from .bits import ids
-from .closure import AtomSubset, ClosureSystem, EnumerationLimitError, polar
+from .closure import (CarrierMismatchError, ClosureSystem,
+                      EnumerationLimitError, _same_carrier)
 from .orthospace import Verdict
 
 AUTOMORPHISM_SEARCH_LIMIT = 16
@@ -22,7 +25,6 @@ ORTHOCOMPLEMENT_SEARCH_LIMIT = 1000
 class PermutationGroup:
     degree: int
     elements: tuple
-    closed_flag: bool
 
     def __len__(self):
         return len(self.elements)
@@ -101,10 +103,18 @@ def covering_property(sys: ClosureSystem) -> Verdict:
     return Verdict(True, None)
 
 
+def _require_own_system(space, sys: ClosureSystem):
+    # the polarity analyses read ⊥ from space and the closed sets from sys
+    if not (sys.from_relation and _same_carrier(sys.carrier, space)):
+        raise CarrierMismatchError(
+            "the analysis needs the closure system of the carrier's relation")
+
+
 def orthomodularity(space, sys: ClosureSystem) -> Verdict:
     """b = a ∨ (b ∧ a^⊥) for all closed a ⊆ b; minimal (a, b) on failure."""
+    _require_own_system(space, sys)
     for am in sys.masks:
-        pa = polar(space, AtomSubset(space, am)).bits
+        pa = _kernel.polar(space.rows, am, space.full)
         for bm in sys.masks:
             if am & ~bm:
                 continue
@@ -114,30 +124,18 @@ def orthomodularity(space, sys: ClosureSystem) -> Verdict:
 
 
 def center(sys: ClosureSystem, space):
-    """Central elements: z and Σ∖z closed, polar(z) = Σ∖z, and
-    (x, y) ↦ x ∨ y is a bijection [0,z]×[0,Σ∖z] → the whole system."""
+    """Central elements: the closed z with z^⊥ = Σ∖z.
+
+    The definition also asks (x, y) ↦ x ∨ y to be a bijection
+    [0,z]×[0,Σ∖z] → the whole system; that is never checked, because if
+    z^⊥ = Σ∖z, every atom of z is orthogonal to all of Σ∖z, so x ∨ y = x ∪ y.
+    """
+    _require_own_system(space, sys)
     full = space.full
-    out = []
-    for zm in sys.masks:
-        cm = full ^ zm
-        if cm not in sys.index:
-            continue
-        if polar(space, AtomSubset(space, zm)).bits != cm:
-            continue
-        below_z = [m for m in sys.masks if m & ~zm == 0]
-        below_c = [m for m in sys.masks if m & ~cm == 0]
-        ok = True
-        for x in below_z:
-            for y in below_c:
-                j = sys.join_mask(x | y)
-                if j & zm != x or j & cm != y:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(zm)
-    return out
+    # Σ∖z closed is implied by the polar test; the index lookup is cheaper
+    return [zm for zm in sys.masks
+            if full ^ zm in sys.index
+            and _kernel.polar(space.rows, zm, full) == full ^ zm]
 
 
 def central_cover(sys: ClosureSystem, space, p: int):
@@ -154,14 +152,12 @@ def is_irreducible(sys: ClosureSystem, space) -> bool:
 
 
 def _is_automorphism(space, sys, perm, mode):
+    """Ortho mode reads ⊥ only (a permutation keeping ⊥ commutes with the
+    polar, so it keeps the closed sets); lattice mode reads the family."""
     if mode == "ortho":
-        for p in range(space.size):
-            if apply_perm_mask(perm, space.rows[p]) != space.rows[perm[p]]:
-                return False
-    for m in sys.masks:
-        if apply_perm_mask(perm, m) not in sys.index:
-            return False
-    return True
+        return all(apply_perm_mask(perm, space.rows[p]) == space.rows[perm[p]]
+                   for p in range(space.size))
+    return all(apply_perm_mask(perm, m) in sys.index for m in sys.masks)
 
 
 def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
@@ -169,11 +165,16 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
     """Atom permutations preserving the closed-set family, and for
     mode='ortho' additionally commuting with the polarity on atoms.
 
-    Full backtracking search up to ``max_atoms``; above that, supply
-    generators and they are verified and closed into a group instead.
+    Lattice mode accepts any family on the carrier.  Full backtracking
+    search up to ``max_atoms``; above that, supply generators and they are
+    verified and closed into a group instead.
     """
     if mode not in ("lattice", "ortho"):
         raise ValueError(f"unknown mode: {mode}")
+    if mode == "ortho":
+        _require_own_system(space, sys)
+    elif not _same_carrier(sys.carrier, space):
+        raise CarrierMismatchError("system does not belong to this carrier")
     n = space.size
     if generators is not None:
         for g in generators:
@@ -183,7 +184,7 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
                 raise ValueError(f"supplied generator is not an "
                                  f"automorphism: {tuple(g)}")
         elems = close_group(generators, n)
-        return PermutationGroup(n, tuple(elems), True)
+        return PermutationGroup(n, tuple(elems))
     if n > max_atoms:
         raise EnumerationLimitError(
             f"automorphism search limit {max_atoms} exceeded for {n} atoms "
@@ -224,9 +225,7 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
         image[k] = -1
 
     backtrack(0)
-    elems = sorted(found)
-    return PermutationGroup(n, tuple(elems),
-                            is_closed_group(elems, n))
+    return PermutationGroup(n, tuple(sorted(found)))
 
 
 def is_transitive(group: PermutationGroup) -> bool:
@@ -325,6 +324,7 @@ def find_orthocomplementation(sys: ClosureSystem,
 
 def analysis_report(space, sys: ClosureSystem, aut_limit=12) -> dict:
     """Bundle of the structural verdicts, JSON-shaped."""
+    _require_own_system(space, sys)
     cov = covering_property(sys)
     om = orthomodularity(space, sys)
     cen = center(sys, space)

@@ -159,18 +159,22 @@ def _symmetric(space) -> Verdict:
     return Verdict(True, None)
 
 
+def _separating(space) -> Verdict:
+    """Fails at the first atom p whose singleton is not closed."""
+    for p in range(space.size):
+        bit = 1 << p
+        if _kernel.biclosure(space.rows, bit, space.full) != bit:
+            return Verdict(False, p)
+    return Verdict(True, None)
+
+
 def validate_relation(space: OrthoSpace) -> RelationReport:
     """Check anti-reflexivity, symmetry and the separating law exhaustively.
 
     Witnesses are lexicographically minimal; never raises.
     """
-    sep = Verdict(True, None)
-    for p in range(space.size):
-        bit = 1 << p
-        if _kernel.biclosure(space.rows, bit, space.full) != bit:
-            sep = Verdict(False, p)
-            break
-    return RelationReport(_anti_reflexive(space), _symmetric(space), sep)
+    return RelationReport(_anti_reflexive(space), _symmetric(space),
+                          _separating(space))
 
 
 def dump_space(space: OrthoSpace) -> str:

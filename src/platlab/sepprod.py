@@ -17,7 +17,8 @@ from .bits import ids, rect
 from .closure import (AtomSubset, CarrierMismatchError, ClosureSystem,
                       enumerate_closed)
 from .lattice import apply_perm_mask, automorphisms, invert
-from .orthospace import OrthoSpace, Verdict, _anti_reflexive, _symmetric
+from .orthospace import (OrthoSpace, Verdict, _anti_reflexive, _separating,
+                         _symmetric)
 
 
 class ProductSpace:
@@ -167,14 +168,6 @@ class AxiomReport:
         }
 
 
-def _check_separating(prod: ProductSpace) -> Verdict:
-    for p in range(prod.size):
-        bit = 1 << p
-        if _kernel.biclosure(prod.rows, bit, prod.full) != bit:
-            return Verdict(False, p)
-    return Verdict(True, None)
-
-
 def _check_p2_cylinders(prod, sys, L1sys, L2sys) -> Verdict:
     for a1 in L1sys.masks:
         for a2 in L2sys.masks:
@@ -285,7 +278,7 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
     _validate_w(W2, prod.right.size, "W2")
     sys = prod_sys if prod_sys is not None else enumerate_closed(prod)
 
-    separating = _check_separating(prod)
+    separating = _separating(prod)
     p2_cyl = _check_p2_cylinders(prod, sys, L1sys, L2sys)
     p2_coat = _check_p2_coatoms(prod, sys)
     p3 = _check_p3(prod, sys, L1sys, L2sys)
@@ -422,7 +415,7 @@ class PerturbationSummary:
 
 def _first_failing_axiom(prod, L1sys, L2sys, W1, W2):
     """Cheapest-first scan; returns the axiom name or None."""
-    if not _check_separating(prod).holds:
+    if not _separating(prod).holds:
         return "separating"
     sys = enumerate_closed(prod)
     if not _check_p2_cylinders(prod, sys, L1sys, L2sys).holds:

@@ -71,6 +71,18 @@ def test_check_sharp_relation(tmp_path):
     assert rep["separating"]["holds"] is True
 
 
+def test_check_reports_failing_axioms_with_exit_0(tmp_path):
+    # check is a report command: failing axioms are its answer, not an error
+    mo2 = json.loads(dump_space(make_mo(2)))
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps({"left": mo2, "right": mo2, "pairs": [[0, 5]]}))
+    res = invoke("check", "--relation", str(rel))
+    assert res.exit_code == 0
+    rep = json.loads(res.output)
+    assert rep["P2"]["holds"] is False
+    assert rep["separating"]["holds"] is False
+
+
 def test_check_rejects_bad_document(tmp_path):
     rel = tmp_path / "rel.json"
     rel.write_text(json.dumps({"left": {"atoms": ["a"], "orth": []}}))
@@ -130,7 +142,10 @@ def test_fixtures_regen_matches_committed(tmp_path, fixture_dir):
     written = regenerate_fixtures(tmp_path)
     assert set(written) == {
         "mo2_mo2.clos.txt", "mo2_pow2.clos.txt", "l5_mo2.clos.txt",
-        "l0_q3.json", "daniel_failing_map.json"}
+        "l0_q3.json", "daniel_failing_map.json"} | {
+        f"verify/{suite}.json" for suite in (
+            "closure", "theorem1", "theorem2", "theorem3", "lemmas",
+            "constructions", "l0")}
     for name in written:
         assert (tmp_path / name).read_bytes() == \
             (fixture_dir / name).read_bytes(), name

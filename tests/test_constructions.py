@@ -12,7 +12,7 @@ from platlab.constructions import (CRelation, FactorBijection, L0Report,
                                    tensor_trace_lattice)
 from platlab.closure import EnumerationLimitError
 from platlab.lattice import automorphisms
-from platlab.sepprod import _check_separating
+from platlab.orthospace import _separating
 
 C_MO2 = [[2], [3], [0], [1]]  # pair a1↔a2, a1'↔a2'
 
@@ -143,7 +143,7 @@ def test_perp5_same_closed_family_but_p5_fails(setup, mo2_sys):
     base_sys = enumerate_closed(prod)
     rel_sys = enumerate_closed(rel)
     assert dump_system(rel_sys) == dump_system(base_sys)
-    assert _check_separating(rel).holds
+    assert _separating(rel).holds
     rep = check_axioms(rel, mo2_sys, mo2_sys, W, W, rel_sys).to_json()
     assert rep["P2"]["holds"] and rep["P3"]["holds"] and rep["P4"]["holds"]
     assert rep["P5"]["holds"] is False

@@ -2,7 +2,8 @@ import pytest
 
 from platlab import (enumerate_closed, make_mo, make_powerset_space,
                      separated_product)
-from platlab.closure import EnumerationLimitError
+from platlab.closure import (CarrierMismatchError, ClosureSystem,
+                             EnumerationLimitError)
 from platlab.lattice import (PermutationGroup, analysis_report, automorphisms,
                              center, central_cover, close_group, compose,
                              covering_property, find_orthocomplementation,
@@ -24,7 +25,7 @@ def test_automorphism_groups():
     mo2 = make_mo(2)
     sys = enumerate_closed(mo2)
     ortho = automorphisms(mo2, sys, mode="ortho")
-    assert len(ortho) == 8 and ortho.closed_flag
+    assert len(ortho) == 8 and is_closed_group(ortho.elements, ortho.degree)
     assert is_transitive(ortho)
     # without the polarity constraint every atom permutation fixing the
     # family qualifies
@@ -40,7 +41,7 @@ def test_automorphisms_from_generators():
     sys = enumerate_closed(mo2)
     g = automorphisms(mo2, sys, mode="ortho", generators=[(1, 0, 2, 3),
                                                           (2, 3, 0, 1)])
-    assert len(g) == 8 and g.closed_flag
+    assert len(g) == 8 and is_closed_group(g.elements, g.degree)
     with pytest.raises(ValueError, match="not an automorphism"):
         automorphisms(mo2, sys, mode="ortho", generators=[(1, 2, 3, 0)])
 
@@ -126,5 +127,36 @@ def test_analysis_report_shape(mo2, mo2_sys, mo2_product):
 
 
 def test_transitivity_negative():
-    g = PermutationGroup(3, ((0, 1, 2), (0, 2, 1)), True)
+    g = PermutationGroup(3, ((0, 1, 2), (0, 2, 1)))
     assert not is_transitive(g)
+
+
+POLARITY_ANALYSES = {
+    "orthomodularity": lambda space, sys: orthomodularity(space, sys),
+    "center": lambda space, sys: center(sys, space),
+    "central_cover": lambda space, sys: central_cover(sys, space, 0),
+    "is_irreducible": lambda space, sys: is_irreducible(sys, space),
+    "analysis_report": lambda space, sys: analysis_report(space, sys),
+    "ortho automorphisms":
+        lambda space, sys: automorphisms(space, sys, mode="ortho"),
+}
+
+
+@pytest.mark.parametrize("analysis", list(POLARITY_ANALYSES.values()),
+                         ids=list(POLARITY_ANALYSES))
+def test_polarity_analyses_need_the_carriers_own_system(analysis, mo2,
+                                                        mo2_sys):
+    other = enumerate_closed(make_mo(3))
+    with pytest.raises(CarrierMismatchError):
+        analysis(mo2, other)
+    family = ClosureSystem(mo2, mo2_sys.masks, from_relation=False)
+    with pytest.raises(CarrierMismatchError):
+        analysis(mo2, family)
+    analysis(mo2, mo2_sys)
+
+
+def test_lattice_automorphisms_accept_an_explicit_family(mo2, mo2_sys):
+    family = ClosureSystem(mo2, mo2_sys.masks, from_relation=False)
+    assert len(automorphisms(mo2, family, mode="lattice")) == 24
+    with pytest.raises(CarrierMismatchError):
+        automorphisms(mo2, enumerate_closed(make_mo(3)), mode="lattice")

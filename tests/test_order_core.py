@@ -8,8 +8,11 @@ random families built with ``from_relation=False``, and on arbitrary
 families that contain ∅ and Σ but need not be intersection-closed.
 
 ``orthomodularity`` and ``center`` are checked on the same relations against
-oracles that follow their definitions over the 2^Σ brute-force family.
+oracles that follow their definitions over the 2^Σ brute-force family, and
+``automorphisms`` against all n! atom permutations on up to 6 atoms.
 """
+
+from itertools import permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,8 @@ from platlab import ClosureSystem, OrthoSpace, brute_force_closed
 from platlab import enumerate_closed
 from platlab._kernel import pykernel
 from platlab.bits import ids
-from platlab.lattice import (_minimal_nonzero, center, covering_property,
+from platlab.lattice import (_minimal_nonzero, apply_perm_mask, automorphisms,
+                             center, covering_property, is_closed_group,
                              orthomodularity)
 from platlab.orthospace import Verdict
 
@@ -79,9 +83,9 @@ def old_covering_property(sys):
 # ---------------------------------------------------------- strategies
 
 @st.composite
-def relations(draw):
-    """A symmetric, anti-reflexive relation on 1..MAX_ATOMS atoms."""
-    n = draw(st.integers(1, MAX_ATOMS))
+def relations(draw, max_atoms=MAX_ATOMS):
+    """A symmetric, anti-reflexive relation on 1..max_atoms atoms."""
+    n = draw(st.integers(1, max_atoms))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs),
                          max_size=len(pairs)))
@@ -233,3 +237,24 @@ def test_orthomodularity_and_center_match_definitions(space):
     assert orthomodularity(space, sys) == \
         oracle_orthomodularity(closed, perp, join)
     assert center(sys, space) == oracle_center(space, closed, perp, join)
+
+
+@SETTINGS
+@given(relations(max_atoms=6))
+def test_automorphisms_match_all_permutations(space):
+    sys = enumerate_closed(space)
+    closed = set(brute_force_closed(space).masks)
+    n = space.size
+    keeps_family, keeps_perp = set(), set()
+    for perm in permutations(range(n)):
+        if {apply_perm_mask(perm, m) for m in closed} == closed:
+            keeps_family.add(perm)
+            if all(space.orth(perm[p], perm[q]) == space.orth(p, q)
+                   for p in range(n) for q in range(n)):
+                keeps_perp.add(perm)
+    ortho = automorphisms(space, sys, mode="ortho")
+    lattice = automorphisms(space, sys, mode="lattice")
+    assert set(ortho.elements) == keeps_perp
+    assert set(lattice.elements) == keeps_family
+    assert is_closed_group(ortho.elements, n)
+    assert is_closed_group(lattice.elements, n)
