@@ -631,11 +631,14 @@ def regenerate_fixtures(directory: Path) -> list:
           directory / "daniel_failing_map.json")
     written.append("daniel_failing_map.json")
 
-    # golden `plat verify -o` reports: seed 0 and the verify defaults
+    # golden `plat verify -o` reports: seed 0 and the verify defaults, plus
+    # the l0 suite at q = 5, λ = 2
     (directory / "verify").mkdir(exist_ok=True)
-    for suite in SUITES:
-        name = f"verify/{suite}.json"
-        config = {"seed": 0, "trials": 500, "q": 3, "lam": 1}
+    defaults = {"seed": 0, "trials": 500, "q": 3, "lam": 1}
+    runs = [(suite, suite, defaults) for suite in SUITES]
+    runs.append(("l0_q5_lam2", "l0", {**defaults, "q": 5, "lam": 2}))
+    for stem, suite, config in runs:
+        name = f"verify/{stem}.json"
         _emit(run_verify_suite(suite, config), directory / name)
         written.append(name)
     return written

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 from ._kernel import pykernel
 from .bits import ids, rect
-from .closure import ClosureSystem, EnumerationLimitError, _canonical_key
+from .closure import ClosureSystem, EnumerationLimitError
 from .gf import field
 from .lattice import apply_perm_mask, find_orthocomplementation, invert
-from .orthospace import OrthoSpace, make_mo, make_quadratic_line_space, \
-    projective_line_points
+from .orthospace import OrthoSpace, _row_defect, make_mo, \
+    make_quadratic_line_space, projective_line_points
 from .sepprod import ProductSpace, separated_product
 
 
@@ -31,17 +31,13 @@ class CRelation:
     def __post_init__(self):
         if len(self.rows) != self.space.size:
             raise ValueError("C-relation rows do not match the factor size")
-        for p, row in enumerate(self.rows):
-            if row >> p & 1:
+        defect = _row_defect(self.rows)
+        if defect is not None:
+            p, q = defect
+            if p == q:
                 raise ValueError(f"invalid C data: {p} ∈ C({p})")
-            m = row
-            while m:
-                low = m & -m
-                q = low.bit_length() - 1
-                if not self.rows[q] >> p & 1:
-                    raise ValueError(
-                        f"invalid C data: {q} ∈ C({p}) but {p} ∉ C({q})")
-                m ^= low
+            raise ValueError(
+                f"invalid C data: {q} ∈ C({p}) but {p} ∉ C({q})")
 
     @classmethod
     def from_adjacency(cls, space: OrthoSpace, lists) -> "CRelation":
@@ -270,22 +266,6 @@ def _rref_matrices(F, n, k):
             yield tuple(tuple(row) for row in mat)
 
 
-def _reduce_against(F, rows, vec):
-    """Reduce vec against RREF rows; returns the residual vector."""
-    v = list(vec)
-    for row in rows:
-        pivot = next(i for i, x in enumerate(row) if x)
-        if v[pivot]:
-            c = v[pivot]
-            for i in range(len(v)):
-                v[i] = F.sub(v[i], F.mul(c, row[i]))
-    return v
-
-
-def _in_span(F, rows, vec):
-    return not any(_reduce_against(F, rows, vec))
-
-
 @dataclass
 class L0Report:
     trace_count: int
@@ -332,36 +312,35 @@ def tensor_trace_lattice(q: int, lam: int):
             vectors.append((F.mul(u[0], v[0]), F.mul(u[0], v[1]),
                             F.mul(u[1], v[0]), F.mul(u[1], v[1])))
 
+    # W ↦ W^⊥ is a bijection on subspaces and V = (V^⊥)^⊥, so the trace of
+    # W^⊥ (the product states orthogonal to every row of W) ranges over
+    # all traces as W does: rows == () gives Σ, the full basis gives ∅
+    row_masks = {}
     traces = set()
     for mats in enumerate_subspaces(q, 4).values():
         for rows in mats:
-            if not rows:  # the zero subspace traces to ∅
-                traces.add(0)
-                continue
-            mask = 0
-            for p, vec in enumerate(vectors):
-                if _in_span(F, rows, vec):
-                    mask |= 1 << p
+            mask = prod.full
+            for row in rows:
+                if row not in row_masks:
+                    row_masks[row] = sum(
+                        1 << p for p, vec in enumerate(vectors)
+                        if F.dot(row, vec, weights) == 0)
+                mask &= row_masks[row]
             traces.add(mask)
-    trace_set = traces
-    traces = sorted(traces)
 
-    raw_closed = all((a & b) in trace_set for a in traces for b in traces)
     family = pykernel.intersection_closure(traces, prod.full)
     family_sys = ClosureSystem(prod, family, from_relation=False)
 
     contains = all(m in family_sys.index for m in sepsys.masks)
-    witness = None
-    for m in sorted(traces, key=_canonical_key):
-        if m not in sepsys.index:
-            witness = m
-            break
+    witness = next((m for m in family_sys.masks if m not in sepsys.index),
+                   None)
     triples = sum(1 for m in traces
                   if m.bit_count() == 3 and _pairwise_product_distinct(prod, m))
     oc = find_orthocomplementation(family_sys)
     report = L0Report(
         trace_count=len(traces),
-        intersection_closed=raw_closed,
+        # the closure holds every trace, Σ among them
+        intersection_closed=len(family) == len(traces),
         contains_sepprod=contains,
         strict=witness is not None,
         strictness_witness=ids(witness) if witness is not None else [],

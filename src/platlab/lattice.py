@@ -253,8 +253,7 @@ def _minimal_nonzero(sys: ClosureSystem):
 
 
 def find_orthocomplementation(sys: ClosureSystem,
-                              max_elements=ORTHOCOMPLEMENT_SEARCH_LIMIT,
-                              atom_order=None):
+                              max_elements=ORTHOCOMPLEMENT_SEARCH_LIMIT):
     """Search for an order-reversing involution ' with a∧a' = ∅, a∨a' = Σ.
 
     Returns the mapping {mask: mask'} or None after exhaustive backtracking
@@ -275,8 +274,6 @@ def find_orthocomplementation(sys: ClosureSystem,
     if down != up:
         return None
 
-    order = list(atom_order) if atom_order is not None else range(len(atoms))
-    ordered_atoms = [atoms[i] for i in order]
     assign = {}
 
     def consistent(a, c):
@@ -307,9 +304,9 @@ def find_orthocomplementation(sys: ClosureSystem,
         return table
 
     def backtrack(k):
-        if k == len(ordered_atoms):
+        if k == len(atoms):
             return build_map()
-        a = ordered_atoms[k]
+        a = atoms[k]
         for c in coatoms:
             if consistent(a, c):
                 assign[a] = c

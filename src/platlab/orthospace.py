@@ -13,6 +13,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from . import _kernel
+from .bits import ids
 from .gf import field
 
 Verdict = namedtuple("Verdict", ["holds", "witness"])
@@ -23,7 +24,7 @@ class SpaceFormatError(ValueError):
 
 
 class OrthoSpace:
-    __slots__ = ("labels", "rows")
+    __slots__ = ("labels", "rows", "size", "full")
 
     def __init__(self, labels, rows):
         if len(labels) != len(rows):
@@ -32,14 +33,8 @@ class OrthoSpace:
             raise ValueError("empty orthospace")
         self.labels = tuple(labels)
         self.rows = tuple(rows)
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    @property
-    def full(self) -> int:
-        return (1 << self.size) - 1
+        self.size = len(self.labels)
+        self.full = (1 << self.size) - 1
 
     def orth(self, p: int, q: int) -> bool:
         return bool(self.rows[p] >> q & 1)
@@ -140,6 +135,19 @@ def make_quadratic_line_space(q: int, lam: int) -> OrthoSpace:
             if F.dot(u, points[j], weights) == 0:
                 pairs.append((i, j))
     return OrthoSpace(labels, _rows_from_pairs(len(points), pairs))
+
+
+def _row_defect(rows):
+    """The first defect met scanning atom by atom: (p, p) if orth(p, p),
+    else (p, q) for the first q ∈ rows[p] with p ∉ rows[q]; None if the
+    rows are anti-reflexive and symmetric."""
+    for p, row in enumerate(rows):
+        if row >> p & 1:
+            return p, p
+        for q in ids(row):
+            if not rows[q] >> p & 1:
+                return p, q
+    return None
 
 
 def _anti_reflexive(space) -> Verdict:

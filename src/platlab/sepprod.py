@@ -17,12 +17,12 @@ from .bits import ids, rect
 from .closure import (AtomSubset, CarrierMismatchError, ClosureSystem,
                       enumerate_closed)
 from .lattice import apply_perm_mask, automorphisms, invert
-from .orthospace import (OrthoSpace, Verdict, _anti_reflexive, _separating,
-                         _symmetric)
+from .orthospace import (OrthoSpace, Verdict, _anti_reflexive, _row_defect,
+                         _separating, _symmetric)
 
 
 class ProductSpace:
-    __slots__ = ("left", "right", "rows", "relation_name")
+    __slots__ = ("left", "right", "rows", "relation_name", "size", "full")
 
     def __init__(self, left: OrthoSpace, right: OrthoSpace, rows,
                  relation_name: str):
@@ -30,28 +30,18 @@ class ProductSpace:
         self.right = right
         self.rows = tuple(rows)
         self.relation_name = relation_name
-        if len(rows) != left.size * right.size:
+        self.size = left.size * right.size
+        self.full = (1 << self.size) - 1
+        if len(rows) != self.size:
             raise ValueError("relation rows do not match the product size")
-        for p in range(self.size):
-            if self.rows[p] >> p & 1:
+        defect = _row_defect(self.rows)
+        if defect is not None:
+            p, q = defect
+            if p == q:
                 raise ValueError(
                     f"product relation is not anti-reflexive at atom {p}")
-            m = self.rows[p]
-            while m:
-                low = m & -m
-                q = low.bit_length() - 1
-                if not self.rows[q] >> p & 1:
-                    raise ValueError(
-                        f"product relation is not symmetric at ({p}, {q})")
-                m ^= low
-
-    @property
-    def size(self) -> int:
-        return self.left.size * self.right.size
-
-    @property
-    def full(self) -> int:
-        return (1 << self.size) - 1
+            raise ValueError(
+                f"product relation is not symmetric at ({p}, {q})")
 
     @property
     def labels(self):

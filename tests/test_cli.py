@@ -145,7 +145,7 @@ def test_fixtures_regen_matches_committed(tmp_path, fixture_dir):
         "l0_q3.json", "daniel_failing_map.json"} | {
         f"verify/{suite}.json" for suite in (
             "closure", "theorem1", "theorem2", "theorem3", "lemmas",
-            "constructions", "l0")}
+            "constructions", "l0", "l0_q5_lam2")}
     for name in written:
         assert (tmp_path / name).read_bytes() == \
             (fixture_dir / name).read_bytes(), name

@@ -10,9 +10,11 @@ from platlab.constructions import (CRelation, FactorBijection, L0Report,
                                    enumerate_subspaces, gaussian_binomial,
                                    mo_pair_swap_bijection,
                                    tensor_trace_lattice)
-from platlab.closure import EnumerationLimitError
+from platlab.closure import EnumerationLimitError, _canonical_key
+from platlab.gf import field
 from platlab.lattice import automorphisms
-from platlab.orthospace import _separating
+from platlab.orthospace import (_separating, make_quadratic_line_space,
+                                projective_line_points)
 
 C_MO2 = [[2], [3], [0], [1]]  # pair a1↔a2, a1'↔a2'
 
@@ -182,6 +184,61 @@ def test_tensor_trace_lattice_q3(fixture_dir):
     assert j["orthocomplementation"] == "none"
     committed = json.loads((fixture_dir / "l0_q3.json").read_text())
     assert j == committed
+
+
+def _reduce_against(F, rows, vec):
+    """Reduce vec against RREF rows; returns the residual vector."""
+    v = list(vec)
+    for row in rows:
+        pivot = next(i for i, x in enumerate(row) if x)
+        if v[pivot]:
+            c = v[pivot]
+            for i in range(len(v)):
+                v[i] = F.sub(v[i], F.mul(c, row[i]))
+    return v
+
+
+def span_membership_traces(q):
+    """Oracle: per subspace V, the product states whose vector u⊗v lies in
+    V by Gaussian reduction against V's RREF rows."""
+    F = field(q)
+    points = projective_line_points(q)
+    vectors = [(F.mul(u[0], v[0]), F.mul(u[0], v[1]),
+                F.mul(u[1], v[0]), F.mul(u[1], v[1]))
+               for u in points for v in points]
+    traces = set()
+    for mats in enumerate_subspaces(q, 4).values():
+        for rows in mats:
+            traces.add(sum(1 << p for p, vec in enumerate(vectors)
+                           if not any(_reduce_against(F, rows, vec))))
+    return traces
+
+
+@pytest.mark.parametrize("q,lam", [(3, 1), (5, 2), (5, 3)])
+def test_tensor_traces_match_span_membership(q, lam):
+    traces = span_membership_traces(q)
+    closed = all((a & b) in traces for a in traces for b in traces)
+    canonical = sorted(traces, key=_canonical_key)
+    factor = make_quadratic_line_space(q, lam)
+    _, sepsys = separated_product(factor, factor)
+    witness = next(m for m in canonical if m not in sepsys.index)
+    n2 = q + 1
+    triples = 0
+    for m in traces:
+        cells = [divmod(p, n2) for p in range(n2 * n2) if m >> p & 1]
+        if (len(cells) == 3 and len({i for i, _ in cells}) == 3
+                and len({j for _, j in cells}) == 3):
+            triples += 1
+
+    family, report = tensor_trace_lattice(q, lam)
+    j = report.to_json()
+    assert j["trace_count"] == len(traces)
+    assert closed
+    assert j["intersection_closed"] is True
+    assert family.masks == canonical
+    assert j["strictness_witness"] == [p for p in range(n2 * n2)
+                                       if witness >> p & 1]
+    assert j["triples"] == triples
 
 
 def test_tensor_trace_rejects_isotropic_form():

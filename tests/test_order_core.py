@@ -258,3 +258,14 @@ def test_automorphisms_match_all_permutations(space):
     assert set(lattice.elements) == keeps_family
     assert is_closed_group(ortho.elements, n)
     assert is_closed_group(lattice.elements, n)
+
+
+def test_ortho_automorphisms_check_orth_on_an_asymmetric_relation():
+    # the search compares orth(k, j) only for j < k as it places atom k;
+    # (0, 2, 1) passes that and keeps the family, but maps orth(0, 1) to
+    # orth(0, 2), so only the check on the complete permutation rejects it
+    space = OrthoSpace(["a", "b", "c"], (0b010, 0b100, 0b010))
+    sys = enumerate_closed(space)
+    assert automorphisms(space, sys, mode="ortho").elements == ((0, 1, 2),)
+    assert set(automorphisms(space, sys, mode="lattice").elements) == {
+        (0, 1, 2), (0, 2, 1)}
