@@ -32,22 +32,17 @@ def biclosure(rows, mask, full):
 def intersection_closure(seeds, full, max_sets=0):
     """All intersections of subfamilies of ``seeds`` plus ``full``.
 
-    BFS over new sets, intersecting each against every distinct seed.  Raises
-    ValueError when more than ``max_sets`` sets appear (0 = unlimited).
+    Adds one seed at a time: if F is intersection-closed and holds ``full``,
+    F ∪ {x ∩ s : x ∈ F} is the closure of F ∪ {s}.  Larger seeds go first, so
+    a seed that is an intersection of earlier ones is already in F and costs
+    one lookup.  Raises ValueError when more than ``max_sets`` sets appear
+    (0 = unlimited); the count is checked after each seed.
     """
-    uniq = sorted(set(seeds))
     out = {full}
-    frontier = [full]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in uniq:
-                y = x & s
-                if y not in out:
-                    out.add(y)
-                    nxt.append(y)
-                    if max_sets and len(out) > max_sets:
-                        raise ValueError(
-                            f"closure enumeration exceeded {max_sets} sets")
-        frontier = nxt
+    for s in sorted(set(seeds), reverse=True):
+        if s in out:
+            continue
+        out |= {x & s for x in out}
+        if max_sets and len(out) > max_sets:
+            raise ValueError(f"closure enumeration exceeded {max_sets} sets")
     return sorted(out)

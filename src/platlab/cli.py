@@ -517,7 +517,10 @@ def run_verify_suite(suite: str, config: dict) -> dict:
 def verify(suite_name, trials, seed, q, lam, out):
     """Run a verification suite and write its JSON report."""
     config = {"seed": seed, "trials": trials, "q": q, "lam": lam}
-    report = run_verify_suite(suite_name, config)
+    try:
+        report = run_verify_suite(suite_name, config)
+    except ValueError as exc:   # bad --q/--lam/--trials, or a limit hit
+        raise click.UsageError(str(exc))
     _emit(report, out)
     for c in report["checks"]:
         status = "pass" if c["pass"] else "FAIL"

@@ -273,11 +273,13 @@ def enumerate_closed(space, max_atoms=None, max_sets=DEFAULT_SET_LIMIT
     limit = atom_limit() if max_atoms is None else max_atoms
     if space.size > limit:
         raise EnumerationLimitError(
-            f"carrier has {space.size} atoms, enumeration limit is {limit}")
+            f"carrier has {space.size} atoms, enumeration limit is {limit}; "
+            "raise it with PLAT_LIMIT_ATOMS or max_atoms=")
     try:
         masks = _kernel.intersection_closure(space.rows, space.full, max_sets)
     except ValueError as exc:
-        raise EnumerationLimitError(str(exc)) from None
+        raise EnumerationLimitError(
+            f"{exc}; raise the limit with max_sets=") from None
     return ClosureSystem(space, masks)
 
 

@@ -87,8 +87,10 @@ class GF:
             for j, y in enumerate(cb):
                 prod[i + j] = (prod[i + j] + x * y) % p
         # reduce modulo the monic irreducible of degree k
-        mod = self._coeffs(modulus) + [1]  # low-to-high incl. leading 1
         deg = self.k
+        # low-to-high incl. leading 1; _coeffs drops high zero coefficients
+        mod = self._coeffs(modulus)
+        mod += [0] * (deg - len(mod)) + [1]
         for i in range(len(prod) - 1, deg - 1, -1):
             c = prod[i]
             if c:

@@ -78,7 +78,8 @@ def close_group(generators, degree, cap=1_000_000):
                     nxt.append(r)
                     if len(seen) > cap:
                         raise EnumerationLimitError(
-                            f"generated group exceeds {cap} elements")
+                            f"generated group exceeds {cap} elements; "
+                            "raise the limit with cap=")
         frontier = nxt
     return sorted(seen)
 
@@ -188,7 +189,8 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
     if n > max_atoms:
         raise EnumerationLimitError(
             f"automorphism search limit {max_atoms} exceeded for {n} atoms "
-            "and no generators supplied")
+            "and no generators supplied; pass generators= or raise it with "
+            "max_atoms=")
 
     # profile pruning: atoms may only map to atoms with the same closed-set
     # membership signature (and polar degree in ortho mode)
@@ -264,7 +266,8 @@ def find_orthocomplementation(sys: ClosureSystem,
     """
     if len(sys) > max_elements:
         raise EnumerationLimitError(
-            f"system has {len(sys)} elements, search limit {max_elements}")
+            f"system has {len(sys)} elements, search limit {max_elements}; "
+            "raise it with max_elements=")
     atoms = _minimal_nonzero(sys)
     coatoms = sys.coatoms()
     if len(atoms) != len(coatoms):

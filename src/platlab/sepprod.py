@@ -175,43 +175,40 @@ def _check_p2_coatoms(prod, sys) -> Verdict:
 
 
 def _check_p3(prod, sys, L1sys, L2sys) -> Verdict:
+    # m = a₁×Σ₂ iff each block of n₂ bits is full or empty, i.e. iff the
+    # low bit of each block, spread over its block, gives m back; m = Σ₁×a₂
+    # iff block 0 copied into every block gives m back
+    n1, n2 = prod.left.size, prod.right.size
+    block = prod.right.full
+    col = rect(prod.left.full, 1, n2)
     for m in sys.masks:
-        a1 = _cylinder1_base(prod, m)
-        if a1 is not None and a1 not in L1sys.index:
-            return Verdict(False, {"side": 1, "set": ids(a1)})
-        a2 = _cylinder2_base(prod, m)
-        if a2 is not None and a2 not in L2sys.index:
+        low = m & col
+        if low * block == m:
+            a1 = sum(1 << i for i in range(n1) if low >> (i * n2) & 1)
+            if a1 not in L1sys.index:
+                return Verdict(False, {"side": 1, "set": ids(a1)})
+        a2 = m & block
+        if a2 * col == m and a2 not in L2sys.index:
             return Verdict(False, {"side": 2, "set": ids(a2)})
     return Verdict(True, None)
 
 
-def _cylinder1_base(prod, m):
-    """a₁ with m == a₁×Σ₂, or None if m is not such a cylinder."""
-    n2 = prod.right.size
-    block = (1 << n2) - 1
-    a1 = 0
-    for i in range(prod.left.size):
-        if (m >> (i * n2)) & block == block:
-            a1 |= 1 << i
-    return a1 if prod.cylinder1(a1) == m else None
-
-
-def _cylinder2_base(prod, m):
-    n2 = prod.right.size
-    a2 = (1 << n2) - 1
-    for i in range(prod.left.size):
-        a2 &= m >> (i * n2)
-    return a2 if prod.cylinder2(a2) == m else None
+def _lifts(prod, W1, W2):
+    """(u₁, u₂, lifted permutation) for each pair of W₁ × W₂ in order, but
+    the identity lift, which fixes every set and every row."""
+    id1, id2 = tuple(range(prod.left.size)), tuple(range(prod.right.size))
+    for u1 in W1:
+        for u2 in W2:
+            if u1 != id1 or u2 != id2:
+                yield u1, u2, lift_product_map(prod, u1, u2)
 
 
 def _check_p4(prod, sys, W1, W2) -> Verdict:
-    for u1 in W1:
-        for u2 in W2:
-            perm = lift_product_map(prod, u1, u2)
-            for m in sys.masks:
-                if apply_perm_mask(perm, m) not in sys.index:
-                    return Verdict(False, {"u1": list(u1), "u2": list(u2),
-                                           "set": ids(m)})
+    for u1, u2, perm in _lifts(prod, W1, W2):
+        for m in sys.masks:
+            if apply_perm_mask(perm, m) not in sys.index:
+                return Verdict(False, {"u1": list(u1), "u2": list(u2),
+                                       "set": ids(m)})
     return Verdict(True, None)
 
 
@@ -227,13 +224,11 @@ def _check_p5(prod) -> Verdict:
 def _check_lifts_commute(prod, W1, W2) -> Verdict:
     """Does every lifted pair (u₁, u₂) commute with the polarity on atoms?
     P4* is P4 plus this."""
-    for u1 in W1:
-        for u2 in W2:
-            perm = lift_product_map(prod, u1, u2)
-            for p in range(prod.size):
-                if apply_perm_mask(perm, prod.rows[p]) != prod.rows[perm[p]]:
-                    return Verdict(False, {"u1": list(u1), "u2": list(u2),
-                                           "atom": p})
+    for u1, u2, perm in _lifts(prod, W1, W2):
+        for p in range(prod.size):
+            if apply_perm_mask(perm, prod.rows[p]) != prod.rows[perm[p]]:
+                return Verdict(False, {"u1": list(u1), "u2": list(u2),
+                                       "atom": p})
     return Verdict(True, None)
 
 

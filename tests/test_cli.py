@@ -161,6 +161,33 @@ def test_product_enumerate_over_limit_is_usage_error(tmp_path):
     assert "enumeration limit is 64" in res.output
 
 
+def _usage_error(res, *fragments):
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    for fragment in fragments:
+        assert fragment in res.output
+
+
+def test_verify_l0_over_search_limit_is_usage_error():
+    # the q = 7 family has 2,050 sets, past the orthocomplementation limit
+    _usage_error(invoke("verify", "--suite", "l0", "--q", "7"),
+                 "system has 2050 elements, search limit 1000",
+                 "max_elements=")
+
+
+def test_verify_l0_over_atom_limit_is_usage_error():
+    # GF(9) builds; λ = 4 is anisotropic, and the product has 100 atoms
+    _usage_error(invoke("verify", "--suite", "l0", "--q", "9", "--lam", "4"),
+                 "carrier has 100 atoms, enumeration limit is 64",
+                 "PLAT_LIMIT_ATOMS")
+
+
+def test_verify_l0_isotropic_form_is_usage_error():
+    _usage_error(invoke("verify", "--suite", "l0", "--q", "9", "--lam", "2"),
+                 "isotropic over GF(9)")
+
+
 def test_check_rejects_non_permutation_w(tmp_path):
     mo2 = make_mo(2)
     doc = {"left": json.loads(dump_space(mo2)),

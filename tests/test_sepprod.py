@@ -1,14 +1,18 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platlab import (AtomSubset, check_axioms, daniel_lift, dump_system,
                      enumerate_closed, lift_product_map, make_mo,
                      make_powerset_space, p_hash_components, p_sharp,
                      perturbation_test, separated_product, sharp)
 from platlab import sepprod
-from platlab.closure import CarrierMismatchError
-from platlab.lattice import automorphisms
+from platlab.bits import ids
+from platlab.closure import CarrierMismatchError, ClosureSystem
+from platlab.lattice import apply_perm_mask, automorphisms
+from platlab.orthospace import Verdict
 from platlab.sepprod import (DanielConditionError, ProductSpace,
                              default_edge_sampler)
 
@@ -212,3 +216,176 @@ def test_daniel_lift_input_validation(mo2_sys, pow3_sys):
         daniel_lift([0], mo2_sys, pow3_sys)
     with pytest.raises(ValueError, match="out of range"):
         daniel_lift([0, 1, 2, 9], mo2_sys, pow3_sys)
+
+
+# ------------------------------------------- P3, P4 and P4* against oracles
+#
+# ``old_check_p3`` (with ``old_cylinder1_base``/``old_cylinder2_base``),
+# ``old_check_p4`` and ``old_check_lifts_commute`` are the scans sepprod used
+# before the arithmetic cylinder tests and the shared lift generator, kept
+# verbatim as oracles.  n₁ ≠ n₂ throughout, so a test that swaps the two
+# axes gives other answers.
+
+def old_check_p3(prod, sys, L1sys, L2sys):
+    for m in sys.masks:
+        a1 = old_cylinder1_base(prod, m)
+        if a1 is not None and a1 not in L1sys.index:
+            return Verdict(False, {"side": 1, "set": ids(a1)})
+        a2 = old_cylinder2_base(prod, m)
+        if a2 is not None and a2 not in L2sys.index:
+            return Verdict(False, {"side": 2, "set": ids(a2)})
+    return Verdict(True, None)
+
+
+def old_cylinder1_base(prod, m):
+    """a₁ with m == a₁×Σ₂, or None if m is not such a cylinder."""
+    n2 = prod.right.size
+    block = (1 << n2) - 1
+    a1 = 0
+    for i in range(prod.left.size):
+        if (m >> (i * n2)) & block == block:
+            a1 |= 1 << i
+    return a1 if prod.cylinder1(a1) == m else None
+
+
+def old_cylinder2_base(prod, m):
+    n2 = prod.right.size
+    a2 = (1 << n2) - 1
+    for i in range(prod.left.size):
+        a2 &= m >> (i * n2)
+    return a2 if prod.cylinder2(a2) == m else None
+
+
+def old_check_p4(prod, sys, W1, W2):
+    for u1 in W1:
+        for u2 in W2:
+            perm = lift_product_map(prod, u1, u2)
+            for m in sys.masks:
+                if apply_perm_mask(perm, m) not in sys.index:
+                    return Verdict(False, {"u1": list(u1), "u2": list(u2),
+                                           "set": ids(m)})
+    return Verdict(True, None)
+
+
+def old_check_lifts_commute(prod, W1, W2):
+    for u1 in W1:
+        for u2 in W2:
+            perm = lift_product_map(prod, u1, u2)
+            for p in range(prod.size):
+                if apply_perm_mask(perm, prod.rows[p]) != prod.rows[perm[p]]:
+                    return Verdict(False, {"u1": list(u1), "u2": list(u2),
+                                           "atom": p})
+    return Verdict(True, None)
+
+
+def _factor(n):
+    space = make_mo(n)
+    fsys = enumerate_closed(space)
+    return space, fsys, list(automorphisms(space, fsys, mode="ortho"))
+
+
+def _without(fsys, removed):
+    """The factor family minus ``removed``, as an explicit family."""
+    return ClosureSystem(fsys.carrier,
+                         [m for m in fsys.masks if m not in removed],
+                         from_relation=False)
+
+
+def _same(new, old):
+    assert (new.holds, new.witness) == (old.holds, old.witness)
+    return new
+
+
+@st.composite
+def w_lists(draw, n, auts):
+    # automorphisms or arbitrary permutations, identity absent, first or not
+    perm = st.permutations(range(n)).map(tuple)
+    return draw(st.lists(st.one_of(st.sampled_from(auts), perm), max_size=4))
+
+
+@st.composite
+def product_cases(draw):
+    n1, n2 = draw(st.sampled_from([(2, 3), (3, 2)]))
+    (left, L1, W1), (right, L2, W2) = _factor(n1), _factor(n2)
+    size = left.size * right.size
+    if draw(st.booleans()):
+        rows = list(sharp(left, right).rows)   # # ∪ E
+        max_pairs = 3
+    else:
+        rows = [0] * size
+        max_pairs = 120
+    pairs = draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                    st.integers(0, size - 1)),
+                          max_size=max_pairs))
+    for p, q in pairs:
+        if p != q:
+            rows[p] |= 1 << q
+            rows[q] |= 1 << p
+    prod = ProductSpace(left, right, rows, "random")
+    proper1 = [m for m in L1.masks if m not in (0, left.full)]
+    proper2 = [m for m in L2.masks if m not in (0, right.full)]
+    L1 = _without(L1, set(draw(st.lists(st.sampled_from(proper1),
+                                        max_size=2))))
+    L2 = _without(L2, set(draw(st.lists(st.sampled_from(proper2),
+                                        max_size=2))))
+    return (prod, L1, L2, draw(w_lists(left.size, W1)),
+            draw(w_lists(right.size, W2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_cases())
+def test_p3_p4_p4star_match_oracles(case):
+    prod, L1, L2, W1, W2 = case
+    psys = enumerate_closed(prod)
+    _same(sepprod._check_p3(prod, psys, L1, L2),
+          old_check_p3(prod, psys, L1, L2))
+    _same(sepprod._check_p4(prod, psys, W1, W2),
+          old_check_p4(prod, psys, W1, W2))
+    _same(sepprod._check_lifts_commute(prod, W1, W2),
+          old_check_lifts_commute(prod, W1, W2))
+
+
+@pytest.mark.parametrize("n1,n2,side", [(3, 2, 1), (2, 3, 2)])
+def test_p3_fails_on_both_sides_with_oracle_witness(n1, n2, side):
+    # one closed singleton removed from each factor: a₁×Σ₂ has n₂ atoms and
+    # Σ₁×a₂ has n₁, so the smaller cylinder fails first in canonical order
+    (left, L1, _), (right, L2, _) = _factor(n1), _factor(n2)
+    prod, psys = separated_product(left, right)
+    cut1, cut2 = _without(L1, {0b10}), _without(L2, {0b100})
+    v = _same(sepprod._check_p3(prod, psys, cut1, cut2),
+              old_check_p3(prod, psys, cut1, cut2))
+    assert v.witness == {"side": side, "set": [1] if side == 1 else [2]}
+    for factors, want in (((cut1, L2), 1), ((L1, cut2), 2)):
+        v = _same(sepprod._check_p3(prod, psys, *factors),
+                  old_check_p3(prod, psys, *factors))
+        assert v.witness["side"] == want
+
+
+def test_lifts_without_a_leading_identity_match_oracles():
+    (left, _, W1), (right, _, W2) = _factor(2), _factor(3)
+    rows = list(sharp(left, right).rows)
+    rows[0] |= 1 << 2   # # ∪ {((0,0), (0,2))}
+    rows[2] |= 1 << 0
+    prod = ProductSpace(left, right, rows, "sharp+E")
+    psys = enumerate_closed(prod)
+    id1, id2 = tuple(range(4)), tuple(range(6))
+    h = (0, 1, 3, 2, 4, 5)   # an automorphism of MO3 the lift (id, h) breaks
+    bad = (1, 2, 0, 3, 4, 5)   # not an automorphism of MO3
+    cases = [
+        ([id1], [h]),                    # only (id, h): fails there
+        ([id1], [bad]),
+        ([W1[3], id1], [W2[5], h]),      # identity present, not first
+        ([W1[3]], [W2[7], W2[2]]),       # identity absent
+        ([id1], [id2]),                  # the identity lift alone
+        (W1[::-1], W2[::-1]),
+    ]
+    for U1, U2 in cases:
+        _same(sepprod._check_p4(prod, psys, U1, U2),
+              old_check_p4(prod, psys, U1, U2))
+        _same(sepprod._check_lifts_commute(prod, U1, U2),
+              old_check_lifts_commute(prod, U1, U2))
+    p4 = sepprod._check_p4(prod, psys, [id1], [h])
+    assert p4.witness == {"u1": list(id1), "u2": list(h), "set": [0, 3]}
+    commute = sepprod._check_lifts_commute(prod, [id1], [bad])
+    assert commute.witness == {"u1": list(id1), "u2": list(bad), "atom": 0}
+    assert sepprod._check_p4(prod, psys, [id1], [id2]).holds
