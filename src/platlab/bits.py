@@ -1,5 +1,8 @@
 """Bit-vector helpers: a subset of atoms is an int with bit i for atom i."""
 
+# byte b with its bit order reversed, for bytes.translate
+REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
 
 def ids(mask):
     """The atom indices of ``mask``, ascending."""

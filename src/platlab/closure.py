@@ -12,7 +12,7 @@ import os
 from functools import cached_property
 
 from . import _kernel
-from .bits import ids
+from .bits import REVERSED_BYTES, ids
 
 DEFAULT_ATOM_LIMIT = 64
 DEFAULT_SET_LIMIT = 5_000_000
@@ -125,12 +125,6 @@ def biclosure(space, a: AtomSubset) -> AtomSubset:
     return polar(space, polar(space, a))
 
 
-def _canonical_key(mask: int):
-    # cardinality, then lexicographic on the ascending index tuple
-    key = ids(mask)
-    return len(key), tuple(key)
-
-
 class ClosureSystem:
     """A fully enumerated intersection-closed family over one carrier.
 
@@ -156,7 +150,17 @@ class ClosureSystem:
 
     def __init__(self, carrier, masks, from_relation=True):
         self.carrier = carrier
-        self.masks = sorted(set(masks), key=_canonical_key)
+        full = carrier.full
+        masks = set(masks)
+        if max(masks, default=0) > full:
+            raise ValueError("closure system has a set outside the carrier")
+        # canonical order: within one size, a precedes b iff the lowest atom
+        # of a ^ b is in a, so sort on the complement read from atom 0 up
+        # (bit-reversed little-endian bytes), then stably by size
+        width = (carrier.size + 7) // 8
+        self.masks = sorted(masks, key=lambda m: (full ^ m).to_bytes(
+            width, "little").translate(REVERSED_BYTES))
+        self.masks.sort(key=int.bit_count)
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.from_relation = from_relation
         if 0 not in self.index or carrier.full not in self.index:

@@ -15,7 +15,7 @@ from . import _kernel
 from .bits import ids
 from .closure import (CarrierMismatchError, ClosureSystem,
                       EnumerationLimitError, _same_carrier)
-from .orthospace import Verdict
+from .orthospace import Verdict, _row_defect
 
 AUTOMORPHISM_SEARCH_LIMIT = 16
 ORTHOCOMPLEMENT_SEARCH_LIMIT = 1000
@@ -87,20 +87,29 @@ def close_group(generators, degree, cap=1_000_000):
 def covering_property(sys: ClosureSystem) -> Verdict:
     """Does a ∨ p cover a for every closed a and atom p ∉ a?
 
-    On failure the witness is the minimal (a, p, intermediate c); c is the
-    lowest index in the strictly-between bitset, i.e. the first in
-    canonical order.
+    On failure the witness is the minimal (a, p, intermediate c), with c the
+    first in canonical order of the closed sets strictly between a and
+    b = a ∨ p.  Every such c of least size is a ∨ r for each of its atoms
+    r ∉ a, so c is read off the joins a ∨ r, r ∈ b∖a: n − |a| joins per a.
+    That needs each a ∨ r ≠ b to be a member, as it is in any
+    intersection-closed family; for a family that is not, a pair (a, p)
+    with a non-member a ∨ r scans the order core instead.
     """
+    full, index = sys.carrier.full, sys.index
     for am in sys.masks:
-        if am == sys.carrier.full:
-            continue
-        for p in range(sys.carrier.size):
-            if am >> p & 1:
+        joins = {r: sys.join_mask(am | 1 << r) for r in ids(full ^ am)}
+        for p, bm in joins.items():
+            between = {joins[r] for r in ids(bm & ~am)} - {bm}
+            if not between:
                 continue
-            between = sys.strictly_between(am, sys.join_mask(am | (1 << p)))
-            if between:
-                cm = sys.masks[(between & -between).bit_length() - 1]
-                return Verdict(False, (ids(am), p, ids(cm)))
+            if between <= index.keys():
+                first = min(index[cm] for cm in between)
+            else:
+                found = sys.strictly_between(am, bm)
+                if not found:
+                    continue
+                first = (found & -found).bit_length() - 1
+            return Verdict(False, (ids(am), p, ids(sys.masks[first])))
     return Verdict(True, None)
 
 
@@ -192,41 +201,48 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
             "and no generators supplied; pass generators= or raise it with "
             "max_atoms=")
 
+    rows = space.rows
+
     # profile pruning: atoms may only map to atoms with the same closed-set
     # membership signature (and polar degree in ortho mode)
     def profile(p):
         sizes = sorted(m.bit_count() for m in sys.masks if m >> p & 1)
         if mode == "ortho":
-            return space.rows[p].bit_count(), tuple(sizes)
+            return rows[p].bit_count(), tuple(sizes)
         return tuple(sizes)
 
     profs = [profile(p) for p in range(n)]
+    # lattice mode: the closed sets whose highest atom is k are mapped, and
+    # must land in the family, as soon as atom k is placed
+    by_top = [[] for _ in range(n)]
+    for m in sys.masks:
+        if m:
+            by_top[m.bit_length() - 1].append(m)
     found = []
     image = [-1] * n
-    used = [False] * n
 
-    def backtrack(k):
+    def backtrack(k, placed):
         if k == n:
             perm = tuple(image)
-            if _is_automorphism(space, sys, perm, mode):
+            if mode == "lattice" or _is_automorphism(space, sys, perm, mode):
                 found.append(perm)
             return
+        if mode == "ortho":
+            # the image of row k on the atoms placed so far
+            want = apply_perm_mask(image, rows[k] & ((1 << k) - 1))
         for q in range(n):
-            if used[q] or profs[q] != profs[k]:
+            if placed >> q & 1 or profs[q] != profs[k]:
                 continue
-            if mode == "ortho":
-                ok = all((space.rows[k] >> j & 1) ==
-                         (space.rows[q] >> image[j] & 1)
-                         for j in range(k))
-                if not ok:
-                    continue
+            if mode == "ortho" and rows[q] & placed != want:
+                continue
             image[k] = q
-            used[q] = True
-            backtrack(k + 1)
-            used[q] = False
+            if mode == "lattice" and not all(
+                    apply_perm_mask(image, m) in sys.index for m in by_top[k]):
+                continue
+            backtrack(k + 1, placed | 1 << q)
         image[k] = -1
 
-    backtrack(0)
+    backtrack(0, 0)
     return PermutationGroup(n, tuple(sorted(found)))
 
 
@@ -256,14 +272,28 @@ def _minimal_nonzero(sys: ClosureSystem):
 
 def find_orthocomplementation(sys: ClosureSystem,
                               max_elements=ORTHOCOMPLEMENT_SEARCH_LIMIT):
-    """Search for an order-reversing involution ' with a∧a' = ∅, a∨a' = Σ.
+    """An order-reversing involution ' with a∧a' = ∅ and a∨a' = Σ, as the
+    mapping {mask: mask'}, or None.
 
-    Returns the mapping {mask: mask'} or None after exhaustive backtracking
-    over atom → coatom assignments (an orthocomplementation of an atomistic
-    lattice is determined by its restriction to the atoms).  Fast necessary
-    filters run first: atom and coatom counts must match and the down-degree
-    profile must equal the up-degree profile.
+    On the closure system of a symmetric, anti-reflexive relation the polar
+    map a ↦ a^⊥ is one, with no limit: it is an order-reversing involution
+    on the closed sets, a ∧ a^⊥ = ∅ by anti-reflexivity, and
+    a ∨ a^⊥ = (a^⊥ ∩ a^⊥⊥)^⊥ = ∅^⊥ = Σ.
+
+    Any other system (an explicit ``from_relation=False`` family, such as
+    the tensor traces, or a relation that is reflexive or not symmetric) is
+    searched, and only then does ``max_elements`` limit the closed sets:
+    exhaustive backtracking over atom → coatom assignments.  An
+    orthocomplementation of an atomistic lattice is determined by its
+    restriction to the atoms, so None is exact there; on a lattice that is
+    not atomistic the search can miss one.  Fast necessary filters run
+    first: atom and coatom counts must match and the down-degree profile
+    must equal the up-degree profile.
     """
+    carrier = sys.carrier
+    if sys.from_relation and _row_defect(carrier.rows) is None:
+        return {m: _kernel.polar(carrier.rows, m, carrier.full)
+                for m in sys.masks}
     if len(sys) > max_elements:
         raise EnumerationLimitError(
             f"system has {len(sys)} elements, search limit {max_elements}; "

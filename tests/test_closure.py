@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platlab import (AtomSubset, biclosure, brute_force_closed, dump_system,
-                     enumerate_closed, make_mo, make_powerset_space,
-                     make_quadratic_line_space, polar, sharp)
+from platlab import (AtomSubset, ClosureSystem, OrthoSpace, biclosure,
+                     brute_force_closed, dump_system, enumerate_closed,
+                     make_mo, make_powerset_space, make_quadratic_line_space,
+                     polar, sharp)
+from platlab.bits import ids
 from platlab.closure import (CarrierMismatchError, EnumerationLimitError,
                              NotClosedError, atom_limit)
 
@@ -106,6 +108,40 @@ def test_covers_and_extremes():
 def test_mo_coatoms_are_atoms():
     sys = enumerate_closed(make_mo(3))
     assert sys.coatoms() == sys.atoms()
+
+
+def canonical_key(mask):
+    """Oracle for the canonical order: cardinality, then lexicographic on
+    the ascending index tuple."""
+    key = ids(mask)
+    return len(key), tuple(key)
+
+
+@st.composite
+def wide_families(draw):
+    """1-130 atoms, so masks cross byte boundaries and 64 bits; half the
+    sets have at most 4 atoms, so sets of one size often share a prefix."""
+    n = draw(st.integers(1, 130))
+    full = (1 << n) - 1
+    small = st.sets(st.integers(0, n - 1), max_size=4).map(
+        lambda s: sum(1 << i for i in s))
+    return n, draw(st.lists(st.integers(0, full) | small, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_families())
+def test_canonical_order_matches_the_index_tuple_key(spec):
+    n, fam = spec
+    space = OrthoSpace([f"x{i}" for i in range(n)], [0] * n)
+    masks = set(fam) | {0, space.full}
+    sys = ClosureSystem(space, masks, from_relation=False)
+    assert sys.masks == sorted(masks, key=canonical_key)
+
+
+def test_closure_system_rejects_a_set_outside_the_carrier():
+    space = OrthoSpace(["a", "b"], [0, 0])
+    with pytest.raises(ValueError, match="outside the carrier"):
+        ClosureSystem(space, [0, 0b11, 0b100], from_relation=False)
 
 
 def test_dump_format():

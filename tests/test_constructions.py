@@ -10,11 +10,12 @@ from platlab.constructions import (CRelation, FactorBijection, L0Report,
                                    enumerate_subspaces, gaussian_binomial,
                                    mo_pair_swap_bijection,
                                    tensor_trace_lattice)
-from platlab.closure import EnumerationLimitError, _canonical_key
+from platlab.closure import EnumerationLimitError
 from platlab.gf import field
 from platlab.lattice import automorphisms
 from platlab.orthospace import (_separating, make_quadratic_line_space,
                                 projective_line_points)
+from test_closure import canonical_key
 
 C_MO2 = [[2], [3], [0], [1]]  # pair a1↔a2, a1'↔a2'
 
@@ -218,7 +219,7 @@ def span_membership_traces(q):
 def test_tensor_traces_match_span_membership(q, lam):
     traces = span_membership_traces(q)
     closed = all((a & b) in traces for a in traces for b in traces)
-    canonical = sorted(traces, key=_canonical_key)
+    canonical = sorted(traces, key=canonical_key)
     factor = make_quadratic_line_space(q, lam)
     _, sepsys = separated_product(factor, factor)
     witness = next(m for m in canonical if m not in sepsys.index)

@@ -7,22 +7,27 @@ They run on random symmetric, anti-reflexive relations of up to 10 atoms
 random families built with ``from_relation=False``, and on arbitrary
 families that contain ∅ and Σ but need not be intersection-closed.
 
-``orthomodularity`` and ``center`` are checked on the same relations against
+``orthomodularity``, ``center`` and the polar table of
+``find_orthocomplementation`` are checked on the same relations against
 oracles that follow their definitions over the 2^Σ brute-force family, and
-``automorphisms`` against all n! atom permutations on up to 6 atoms.
+``automorphisms`` against all n! atom permutations on up to 8 atoms.  On the
+products MO_n × MO_m the polar table is checked against the backtracking
+search, run on the same sets as an explicit family.
 """
 
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platlab import ClosureSystem, OrthoSpace, brute_force_closed
-from platlab import enumerate_closed
+from platlab import enumerate_closed, make_mo, separated_product
 from platlab._kernel import pykernel
 from platlab.bits import ids
 from platlab.lattice import (_minimal_nonzero, apply_perm_mask, automorphisms,
-                             center, covering_property, is_closed_group,
+                             center, covering_property,
+                             find_orthocomplementation, is_closed_group,
                              orthomodularity)
 from platlab.orthospace import Verdict
 
@@ -179,6 +184,16 @@ def test_arbitrary_families_match_oracles(spec, rnd):
     _agree_with_oracles(_explicit(space, fam, close=False), rnd)
 
 
+def test_covering_falls_back_where_a_join_is_not_a_member():
+    # not intersection-closed: ∅ ∨ r is {r}, not a member, for r = 0, 1, 2,
+    # so the first set strictly between ∅ and ∅ ∨ 3 = Σ is no atom join
+    space = OrthoSpace([f"x{i}" for i in range(4)], [0] * 4)
+    sys = ClosureSystem(space, [0, 0b0011, 0b0101, 0b0110, 0b1111],
+                        from_relation=False)
+    assert covering_property(sys) == old_covering_property(sys) == \
+        Verdict(False, ([], 3, [0, 1]))
+
+
 def test_order_core_is_lazy():
     sys = ClosureSystem(OrthoSpace(["a", "b"], [0b10, 0b01]),
                         [0, 0b01, 0b10, 0b11])
@@ -240,6 +255,57 @@ def test_orthomodularity_and_center_match_definitions(space):
 
 
 @SETTINGS
+@given(relations())
+def test_polar_table_is_an_orthocomplementation(space):
+    closed, perp, join = _definitions(space)
+    table = find_orthocomplementation(enumerate_closed(space))
+    assert sorted(table) == sorted(closed)
+    for a in closed:
+        ca = table[a]
+        assert ca in table and table[ca] == a
+        assert a & ca == 0 and join[a | ca] == space.full
+        for b in closed:
+            if a & ~b == 0:
+                assert table[b] & ~ca == 0
+
+
+def test_polar_table_where_the_search_finds_none():
+    # the hexagon: ∅ < {2} < {0,2} < Σ and ∅ < {3} < {1,3} < Σ.  It is not
+    # atomistic, so the search, which fixes a' from the atoms below a,
+    # misses its orthocomplementation
+    space = OrthoSpace(["a", "b", "c", "d"], [0b1000, 0b0100, 0b1010, 0b0101])
+    sys = enumerate_closed(space)
+    assert sys.masks == [0, 0b0100, 0b1000, 0b0101, 0b1010, 0b1111]
+    assert find_orthocomplementation(sys) == {
+        0: 0b1111, 0b0100: 0b1010, 0b1000: 0b0101, 0b0101: 0b1000,
+        0b1010: 0b0100, 0b1111: 0}
+    family = ClosureSystem(space, sys.masks, from_relation=False)
+    assert find_orthocomplementation(family) is None
+
+
+@pytest.mark.parametrize("rows,expected", [
+    ((0b000, 0b001, 0b010), {0: 7, 1: 2, 2: 1, 7: 0}),   # not symmetric
+    ((0b01, 0b10), {0: 3, 1: 2, 2: 1, 3: 0}),            # orth(p, p)
+])
+def test_relations_with_a_row_defect_are_searched(rows, expected):
+    # the polar map of these relations is no orthocomplementation (p^⊥ is
+    # ∅ or {p} for an atom p), but the search finds one
+    space = OrthoSpace([f"x{i}" for i in range(len(rows))], rows)
+    sys = enumerate_closed(space)
+    polar_of = {m: pykernel.polar(rows, m, space.full) for m in sys.masks}
+    assert any(polar_of[m] in (0, m) for m in sys.atoms())
+    assert find_orthocomplementation(sys) == expected
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+def test_polar_table_equals_the_search_on_mo_products(n, m):
+    prod, sys = separated_product(make_mo(n), make_mo(m))
+    family = ClosureSystem(prod, sys.masks, from_relation=False)
+    assert find_orthocomplementation(sys) == \
+        find_orthocomplementation(family, max_elements=len(family))
+
+
+@SETTINGS
 @given(relations(max_atoms=6))
 def test_automorphisms_match_all_permutations(space):
     sys = enumerate_closed(space)
@@ -258,6 +324,26 @@ def test_automorphisms_match_all_permutations(space):
     assert set(lattice.elements) == keeps_family
     assert is_closed_group(ortho.elements, n)
     assert is_closed_group(lattice.elements, n)
+
+
+def test_lattice_automorphisms_of_mo1_x_mo2_match_all_permutations():
+    prod, sys = separated_product(make_mo(1), make_mo(2))
+    keeps_family = {perm for perm in permutations(range(8))
+                    if all(apply_perm_mask(perm, m) in sys.index
+                           for m in sys.masks)}
+    lattice = automorphisms(prod, sys, mode="lattice")
+    assert set(lattice.elements) == keeps_family
+    assert len(lattice) == 1152
+
+
+def test_lattice_automorphisms_of_mo2_x_mo2():
+    # 16 atoms: without pruning by closed sets the search does not finish
+    prod, sys = separated_product(make_mo(2), make_mo(2))
+    lattice = automorphisms(prod, sys, mode="lattice")
+    ortho = automorphisms(prod, sys, mode="ortho")
+    assert len(lattice) == 1152 and len(ortho) == 128
+    assert set(ortho.elements) <= set(lattice.elements)
+    assert is_closed_group(lattice.elements, prod.size)
 
 
 def test_ortho_automorphisms_check_orth_on_an_asymmetric_relation():
