@@ -18,6 +18,7 @@ from pathlib import Path
 
 import click
 
+from . import _kernel
 from . import constructions as con
 from . import lattice as lat
 from . import sepprod as sp
@@ -305,7 +306,6 @@ def _suite_lemmas(config):
     # if biclosure(p^#) stays inside p^#, the relation is separating
     ok = True
     for name, px in fixtures.items():
-        from . import _kernel
         shrinks = all(
             _kernel.biclosure(px.rows, px.sharp_row(p), px.full)
             & ~px.sharp_row(p) == 0

@@ -15,7 +15,7 @@ from . import _kernel
 from .bits import ids
 from .closure import (CarrierMismatchError, ClosureSystem,
                       EnumerationLimitError, _same_carrier)
-from .orthospace import Verdict, _row_defect
+from .orthospace import Verdict
 
 AUTOMORPHISM_SEARCH_LIMIT = 16
 ORTHOCOMPLEMENT_SEARCH_LIMIT = 1000
@@ -138,7 +138,8 @@ def center(sys: ClosureSystem, space):
 
     The definition also asks (x, y) ↦ x ∨ y to be a bijection
     [0,z]×[0,Σ∖z] → the whole system; that is never checked, because if
-    z^⊥ = Σ∖z, every atom of z is orthogonal to all of Σ∖z, so x ∨ y = x ∪ y.
+    z^⊥ = Σ∖z, every atom of z is orthogonal to all of Σ∖z and, the relation
+    being symmetric, all of Σ∖z to z, so x ∨ y = x ∪ y.
     """
     _require_own_system(space, sys)
     full = space.full
@@ -223,9 +224,9 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
 
     def backtrack(k, placed):
         if k == n:
-            perm = tuple(image)
-            if mode == "lattice" or _is_automorphism(space, sys, perm, mode):
-                found.append(perm)
+            # ortho mode compared orth(k, j) for every j < k; the relation
+            # is symmetric, so that covers every pair
+            found.append(tuple(image))
             return
         if mode == "ortho":
             # the image of row k on the atoms placed so far
@@ -275,14 +276,13 @@ def find_orthocomplementation(sys: ClosureSystem,
     """An order-reversing involution ' with a∧a' = ∅ and a∨a' = Σ, as the
     mapping {mask: mask'}, or None.
 
-    On the closure system of a symmetric, anti-reflexive relation the polar
-    map a ↦ a^⊥ is one, with no limit: it is an order-reversing involution
-    on the closed sets, a ∧ a^⊥ = ∅ by anti-reflexivity, and
-    a ∨ a^⊥ = (a^⊥ ∩ a^⊥⊥)^⊥ = ∅^⊥ = Σ.
+    On the closure system of a relation (always symmetric and
+    anti-reflexive) the polar map a ↦ a^⊥ is one, with no limit: it is an
+    order-reversing involution on the closed sets, a ∧ a^⊥ = ∅ by
+    anti-reflexivity, and a ∨ a^⊥ = (a^⊥ ∩ a^⊥⊥)^⊥ = ∅^⊥ = Σ.
 
-    Any other system (an explicit ``from_relation=False`` family, such as
-    the tensor traces, or a relation that is reflexive or not symmetric) is
-    searched, and only then does ``max_elements`` limit the closed sets:
+    An explicit ``from_relation=False`` family, such as the tensor traces,
+    is searched, and only then does ``max_elements`` limit the closed sets:
     exhaustive backtracking over atom → coatom assignments.  An
     orthocomplementation of an atomistic lattice is determined by its
     restriction to the atoms, so None is exact there; on a lattice that is
@@ -291,7 +291,7 @@ def find_orthocomplementation(sys: ClosureSystem,
     must equal the up-degree profile.
     """
     carrier = sys.carrier
-    if sys.from_relation and _row_defect(carrier.rows) is None:
+    if sys.from_relation:
         return {m: _kernel.polar(carrier.rows, m, carrier.full)
                 for m in sys.masks}
     if len(sys) > max_elements:

@@ -1,9 +1,10 @@
 """Finite orthogonality spaces: a labelled atom set with a binary relation.
 
 A space stores its relation as one bit-mask row per atom (rows[i] = atoms
-related to atom i).  Constructors here build the standard fixtures: MO_n,
-powerset spaces, and anisotropic quadratic line geometries over GF(q).
-Spaces are immutable after construction.
+related to atom i); the relation is symmetric and anti-reflexive, and the
+constructor rejects rows that are not.  Constructors here build the
+standard fixtures: MO_n, powerset spaces, and anisotropic quadratic line
+geometries over GF(q).  Spaces are immutable after construction.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class OrthoSpace:
             raise ValueError("labels/rows length mismatch")
         if len(labels) == 0:
             raise ValueError("empty orthospace")
+        _require_orthogonality(rows, "relation")
         self.labels = tuple(labels)
         self.rows = tuple(rows)
         self.size = len(self.labels)
@@ -40,7 +42,7 @@ class OrthoSpace:
         return bool(self.rows[p] >> q & 1)
 
     def pairs(self):
-        """Related pairs (i, j) with i < j, assuming symmetry."""
+        """Related pairs (i, j) with i < j; by symmetry, every pair once."""
         out = []
         for i, row in enumerate(self.rows):
             m = row >> (i + 1) << (i + 1)
@@ -63,14 +65,11 @@ class OrthoSpace:
 
 @dataclass(frozen=True)
 class RelationReport:
-    anti_reflexive: Verdict
-    symmetric: Verdict
     separating: Verdict
 
     @property
     def all_ok(self) -> bool:
-        return (self.anti_reflexive.holds and self.symmetric.holds
-                and self.separating.holds)
+        return self.separating.holds
 
 
 def _rows_from_pairs(n, pairs):
@@ -150,21 +149,14 @@ def _row_defect(rows):
     return None
 
 
-def _anti_reflexive(space) -> Verdict:
-    """Fails at the first atom p with orth(p, p)."""
-    for p in range(space.size):
-        if space.rows[p] >> p & 1:
-            return Verdict(False, p)
-    return Verdict(True, None)
-
-
-def _symmetric(space) -> Verdict:
-    """Fails at the first pair (p, q) with orth(p, q) ≠ orth(q, p)."""
-    for p in range(space.size):
-        for q in range(space.size):
-            if space.orth(p, q) != space.orth(q, p):
-                return Verdict(False, (p, q))
-    return Verdict(True, None)
+def _require_orthogonality(rows, what: str):
+    """Raise ValueError naming ``what`` at the first defect of _row_defect."""
+    defect = _row_defect(rows)
+    if defect is not None:
+        p, q = defect
+        if p == q:
+            raise ValueError(f"{what} is not anti-reflexive at atom {p}")
+        raise ValueError(f"{what} is not symmetric at ({p}, {q})")
 
 
 def _separating(space) -> Verdict:
@@ -177,12 +169,13 @@ def _separating(space) -> Verdict:
 
 
 def validate_relation(space: OrthoSpace) -> RelationReport:
-    """Check anti-reflexivity, symmetry and the separating law exhaustively.
+    """Check the separating law exhaustively: every singleton is closed.
 
-    Witnesses are lexicographically minimal; never raises.
+    Symmetry and anti-reflexivity need no check, since the constructor
+    rejects rows without them.  The witness is the least atom whose
+    singleton is not closed; never raises.
     """
-    return RelationReport(_anti_reflexive(space), _symmetric(space),
-                          _separating(space))
+    return RelationReport(_separating(space))
 
 
 def dump_space(space: OrthoSpace) -> str:

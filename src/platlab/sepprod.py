@@ -17,8 +17,8 @@ from .bits import ids, rect
 from .closure import (AtomSubset, CarrierMismatchError, ClosureSystem,
                       enumerate_closed)
 from .lattice import apply_perm_mask, automorphisms, invert
-from .orthospace import (OrthoSpace, Verdict, _anti_reflexive, _row_defect,
-                         _separating, _symmetric)
+from .orthospace import (OrthoSpace, Verdict, _require_orthogonality,
+                         _separating)
 
 
 class ProductSpace:
@@ -34,14 +34,7 @@ class ProductSpace:
         self.full = (1 << self.size) - 1
         if len(rows) != self.size:
             raise ValueError("relation rows do not match the product size")
-        defect = _row_defect(self.rows)
-        if defect is not None:
-            p, q = defect
-            if p == q:
-                raise ValueError(
-                    f"product relation is not anti-reflexive at atom {p}")
-            raise ValueError(
-                f"product relation is not symmetric at ({p}, {q})")
+        _require_orthogonality(self.rows, "product relation")
 
     @property
     def labels(self):
@@ -83,23 +76,8 @@ class ProductSpace:
                 f"{self.relation_name})")
 
 
-def _require_valid_factor(space: OrthoSpace, which: str):
-    # the lowest defective atom is reported; at one atom, orth(p, p) first
-    anti, sym = _anti_reflexive(space), _symmetric(space)
-    if not anti.holds and (sym.holds or anti.witness <= sym.witness[0]):
-        p = anti.witness
-        raise ValueError(f"invalid {which} factor relation: "
-                         f"orth({p},{p}) set")
-    if not sym.holds:
-        p, q = sym.witness
-        raise ValueError(f"invalid {which} factor relation: "
-                         f"asymmetric at ({p},{q})")
-
-
 def sharp(left: OrthoSpace, right: OrthoSpace) -> ProductSpace:
     """The product space under #: p#q iff p₁⊥q₁ or p₂⊥q₂."""
-    _require_valid_factor(left, "left")
-    _require_valid_factor(right, "right")
     n2 = right.size
     c1 = [rect(row, right.full, n2) for row in left.rows]
     c2 = [rect(left.full, row, n2) for row in right.rows]

@@ -283,18 +283,21 @@ def test_polar_table_where_the_search_finds_none():
     assert find_orthocomplementation(family) is None
 
 
-@pytest.mark.parametrize("rows,expected", [
-    ((0b000, 0b001, 0b010), {0: 7, 1: 2, 2: 1, 7: 0}),   # not symmetric
-    ((0b01, 0b10), {0: 3, 1: 2, 2: 1, 3: 0}),            # orth(p, p)
-])
-def test_relations_with_a_row_defect_are_searched(rows, expected):
-    # the polar map of these relations is no orthocomplementation (p^⊥ is
-    # ∅ or {p} for an atom p), but the search finds one
-    space = OrthoSpace([f"x{i}" for i in range(len(rows))], rows)
-    sys = enumerate_closed(space)
-    polar_of = {m: pykernel.polar(rows, m, space.full) for m in sys.masks}
-    assert any(polar_of[m] in (0, m) for m in sys.atoms())
-    assert find_orthocomplementation(sys) == expected
+@pytest.mark.parametrize("rows,message", [
+    # the polar map is no orthocomplementation here (p^⊥ is ∅ or {p} for
+    # an atom p), so find_orthocomplementation could not return it
+    ((0b000, 0b001, 0b010), r"not symmetric at \(1, 0\)"),
+    ((0b01, 0b10), "not anti-reflexive at atom 0"),
+    # (0, 2, 1) passes the ortho-mode search, which compares orth(k, j)
+    # only for j < k, but maps orth(0, 1) to orth(0, 2)
+    ((0b010, 0b100, 0b010), r"not symmetric at \(0, 1\)"),
+    # the polar test of center gives [0, 1, 7], the definition [0, 7]
+    ((6, 4, 1), r"not symmetric at \(0, 1\)"),
+], ids=["searched-one-sided", "searched-reflexive", "automorphism-one-sided",
+        "center-one-sided"])
+def test_relations_with_a_row_defect_are_rejected(rows, message):
+    with pytest.raises(ValueError, match=message):
+        OrthoSpace([f"x{i}" for i in range(len(rows))], rows)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
@@ -344,14 +347,3 @@ def test_lattice_automorphisms_of_mo2_x_mo2():
     assert len(lattice) == 1152 and len(ortho) == 128
     assert set(ortho.elements) <= set(lattice.elements)
     assert is_closed_group(lattice.elements, prod.size)
-
-
-def test_ortho_automorphisms_check_orth_on_an_asymmetric_relation():
-    # the search compares orth(k, j) only for j < k as it places atom k;
-    # (0, 2, 1) passes that and keeps the family, but maps orth(0, 1) to
-    # orth(0, 2), so only the check on the complete permutation rejects it
-    space = OrthoSpace(["a", "b", "c"], (0b010, 0b100, 0b010))
-    sys = enumerate_closed(space)
-    assert automorphisms(space, sys, mode="ortho").elements == ((0, 1, 2),)
-    assert set(automorphisms(space, sys, mode="lattice").elements) == {
-        (0, 1, 2), (0, 2, 1)}

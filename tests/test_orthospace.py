@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platlab import (dump_space, load_space, make_mo, make_powerset_space,
                      make_quadratic_line_space, validate_relation)
-from platlab.orthospace import OrthoSpace, SpaceFormatError
+from platlab.orthospace import OrthoSpace, SpaceFormatError, _row_defect
 
 
 def test_mo_shape():
@@ -35,15 +37,30 @@ def test_validate_relation_good():
 
 
 def test_validate_relation_reflexive_witness():
-    s = OrthoSpace(["x", "y"], (0b01, 0b01))
-    rep = validate_relation(s)
-    assert rep.anti_reflexive == (False, 0)
+    with pytest.raises(ValueError, match="not anti-reflexive at atom 0"):
+        OrthoSpace(["x", "y"], (0b01, 0b01))
 
 
 def test_validate_relation_asymmetric_witness():
-    s = OrthoSpace(["x", "y"], (0b10, 0b00))
-    rep = validate_relation(s)
-    assert rep.symmetric == (False, (0, 1))
+    with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
+        OrthoSpace(["x", "y"], (0b10, 0b00))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+def test_constructor_accepts_exactly_the_rows_without_a_defect(rows):
+    defect = _row_defect(rows)
+    labels = [f"x{i}" for i in range(len(rows))]
+    if defect is None:
+        assert OrthoSpace(labels, rows).rows == tuple(rows)
+        return
+    p, q = defect
+    message = (f"relation is not anti-reflexive at atom {p}" if p == q
+               else f"relation is not symmetric at ({p}, {q})")
+    with pytest.raises(ValueError) as exc:
+        OrthoSpace(labels, rows)
+    assert str(exc.value) == message
 
 
 def test_validate_relation_not_separating():

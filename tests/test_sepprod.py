@@ -29,15 +29,13 @@ def test_sharp_relation_definition(mo2):
 
 def test_sharp_rejects_invalid_factor():
     from platlab.orthospace import OrthoSpace
-    bad = OrthoSpace(["x", "y"], (0b01, 0b01))  # reflexive
-    with pytest.raises(ValueError,
-                       match=r"invalid left factor relation: orth\(0,0\) set"):
-        sharp(bad, make_mo(2))
+    # a factor that is reflexive or one-sided cannot be built, so sharp
+    # never sees one
+    with pytest.raises(ValueError, match="not anti-reflexive at atom 0"):
+        OrthoSpace(["x", "y"], (0b01, 0b01))
     # the lowest defective atom is reported: 0 is asymmetric, 1 reflexive
-    bad = OrthoSpace(["x", "y"], (0b10, 0b10))
-    with pytest.raises(ValueError, match=r"invalid right factor relation: "
-                                         r"asymmetric at \(0,1\)"):
-        sharp(make_mo(2), bad)
+    with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
+        OrthoSpace(["x", "y"], (0b10, 0b10))
 
 
 def test_product_space_validates_rows(mo2):
