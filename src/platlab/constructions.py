@@ -36,6 +36,9 @@ class CRelation:
             p, q = defect
             if p == q:
                 raise ValueError(f"invalid C data: {p} ∈ C({p})")
+            if q >= len(self.rows):
+                raise ValueError(f"invalid C data: C({p}) holds {q}, "
+                                 "not a factor atom")
             raise ValueError(
                 f"invalid C data: {q} ∈ C({p}) but {p} ∉ C({q})")
 
@@ -305,13 +308,7 @@ def tensor_trace_lattice(q: int, lam: int):
     if any(w == 0 for w in weights):
         raise ValueError("degenerate ambient tensor form")
     prod, sepsys = separated_product(factor, factor)
-    points = projective_line_points(q)
-
-    vectors = []
-    for u in points:
-        for v in points:
-            vectors.append((F.mul(u[0], v[0]), F.mul(u[0], v[1]),
-                            F.mul(u[1], v[0]), F.mul(u[1], v[1])))
+    states = _weighted_states(F, weights)
 
     # W ↦ W^⊥ is a bijection on subspaces and V = (V^⊥)^⊥, so the trace of
     # W^⊥ (the product states orthogonal to every row of W) ranges over
@@ -323,9 +320,7 @@ def tensor_trace_lattice(q: int, lam: int):
             mask = prod.full
             for row in rows:
                 if row not in row_masks:
-                    row_masks[row] = sum(
-                        1 << p for p, vec in enumerate(vectors)
-                        if F.dot(row, vec, weights) == 0)
+                    row_masks[row] = _row_mask(F, states, row)
                 mask &= row_masks[row]
             traces.add(mask)
 
@@ -349,6 +344,34 @@ def tensor_trace_lattice(q: int, lam: int):
         orthocomplementation="none" if oc is None else "found",
     )
     return family_sys, report
+
+
+def _weighted_states(F, weights):
+    """The product states u ⊗ v of two projective lines over F, in product
+    atom order, with the form's weights folded in: a row r is orthogonal
+    to state x iff Σ rᵢ·(wᵢ·xᵢ) = 0."""
+    mul = F._mul
+    points = projective_line_points(F.q)
+    out = []
+    for u in points:
+        for v in points:
+            state = (mul[u[0]][v[0]], mul[u[0]][v[1]],
+                     mul[u[1]][v[0]], mul[u[1]][v[1]])
+            out.append(tuple(mul[w][x] for w, x in zip(weights, state)))
+    return out
+
+
+def _row_mask(F, states, row):
+    """Bit p set iff ``row`` is orthogonal to weighted state p, read off
+    F's add and mul tables."""
+    add, mul = F._add, F._mul
+    # mul[c] is the table row of c·_, so r0[a] = row[0]·a
+    r0, r1, r2, r3 = (mul[c] for c in row)
+    mask = 0
+    for p, (a, b, c, d) in enumerate(states):
+        if add[add[r0[a]][r1[b]]][add[r2[c]][r3[d]]] == 0:
+            mask |= 1 << p
+    return mask
 
 
 def _pairwise_product_distinct(prod: ProductSpace, mask: int) -> bool:

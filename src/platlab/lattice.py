@@ -266,9 +266,22 @@ def is_transitive(group: PermutationGroup) -> bool:
 
 
 def _minimal_nonzero(sys: ClosureSystem):
-    """Closed sets whose only strict closed subset is ∅."""
-    return [m for m in sys.masks
-            if m != 0 and sys.down_set(m).bit_count() == 2]
+    """Closed sets whose only strict closed subset is ∅.
+
+    One walk in canonical order, smallest sets first: ``above`` holds the
+    index bits of ∅ and of every superset of an atom found so far, and the
+    first member outside it is the next atom.  A member that is not minimal
+    contains a smaller minimal one, which the walk met first, so this is
+    exact on any family, intersection-closed or not: one ``up_set`` per
+    atom.
+    """
+    atoms = []
+    above = 1  # masks[0] is ∅
+    for i, m in enumerate(sys.masks):
+        if not above >> i & 1:
+            atoms.append(m)
+            above |= sys.up_set(m)
+    return atoms
 
 
 def find_orthocomplementation(sys: ClosureSystem,

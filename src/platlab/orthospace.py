@@ -138,13 +138,15 @@ def make_quadratic_line_space(q: int, lam: int) -> OrthoSpace:
 
 def _row_defect(rows):
     """The first defect met scanning atom by atom: (p, p) if orth(p, p),
-    else (p, q) for the first q ∈ rows[p] with p ∉ rows[q]; None if the
-    rows are anti-reflexive and symmetric."""
+    else (p, q) for the first q ∈ rows[p] that is no atom (q ≥ len(rows))
+    or has p ∉ rows[q]; None if the rows are anti-reflexive and
+    symmetric."""
+    n = len(rows)
     for p, row in enumerate(rows):
         if row >> p & 1:
             return p, p
         for q in ids(row):
-            if not rows[q] >> p & 1:
+            if q >= n or not rows[q] >> p & 1:
                 return p, q
     return None
 
@@ -156,6 +158,9 @@ def _require_orthogonality(rows, what: str):
         p, q = defect
         if p == q:
             raise ValueError(f"{what} is not anti-reflexive at atom {p}")
+        if q >= len(rows):
+            raise ValueError(f"{what} row of atom {p} has bit {q}, beyond "
+                             f"its {len(rows)} atoms")
         raise ValueError(f"{what} is not symmetric at ({p}, {q})")
 
 

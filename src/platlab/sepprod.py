@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import _kernel
 from .bits import ids, rect
@@ -104,9 +105,13 @@ def lift_product_map(prod: ProductSpace, u1, u2):
         raise ValueError(f"u1 is not a bijection on {prod.left.size} atoms")
     if sorted(u2) != list(range(prod.right.size)):
         raise ValueError(f"u2 is not a bijection on {prod.right.size} atoms")
-    return tuple(prod.encode(u1[i], u2[j])
-                 for i in range(prod.left.size)
-                 for j in range(prod.right.size))
+    return _lift(u1, u2, prod.right.size)
+
+
+def _lift(u1, u2, n2):
+    # lift_product_map for permutations already checked: atom i·n₂ + j
+    # goes to u₁(i)·n₂ + u₂(j)
+    return tuple(a * n2 + b for a in u1 for b in u2)
 
 
 @dataclass
@@ -178,7 +183,7 @@ def _lifts(prod, W1, W2):
     for u1 in W1:
         for u2 in W2:
             if u1 != id1 or u2 != id2:
-                yield u1, u2, lift_product_map(prod, u1, u2)
+                yield u1, u2, _lift(u1, u2, prod.right.size)
 
 
 def _check_p4(prod, sys, W1, W2) -> Verdict:
@@ -217,8 +222,14 @@ def _validate_w(W, degree, name):
                              f"{degree} atoms: {tuple(u)}")
 
 
-def _inverse_closed(W):
-    perms = {tuple(u) for u in W}
+@lru_cache(maxsize=64)
+def _checked_inverse_closed(W, degree, name):
+    """Validate W, a tuple of tuples, and decide whether it is closed under
+    inverses, once per distinct W: the sweeps pass the same factor groups
+    to every relation.  A W that fails raises on every call, since the
+    cache keeps no exceptions."""
+    _validate_w(W, degree, name)
+    perms = set(W)
     return all(invert(u) in perms for u in perms)
 
 
@@ -235,10 +246,10 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
     if not (L1sys.carrier == prod.left and L2sys.carrier == prod.right):
         raise CarrierMismatchError(
             "factor systems do not match the product factors")
-    W1 = [tuple(u) for u in W1]
-    W2 = [tuple(u) for u in W2]
-    _validate_w(W1, prod.left.size, "W1")
-    _validate_w(W2, prod.right.size, "W2")
+    W1 = tuple(tuple(u) for u in W1)
+    W2 = tuple(tuple(u) for u in W2)
+    w1_inverse_closed = _checked_inverse_closed(W1, prod.left.size, "W1")
+    w2_inverse_closed = _checked_inverse_closed(W2, prod.right.size, "W2")
     sys = prod_sys if prod_sys is not None else enumerate_closed(prod)
 
     separating = _separating(prod)
@@ -256,8 +267,8 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
         p1=Verdict(True, None),
         p2=p2_cyl, p3=p3, p4=p4, p5=p5, p4star=p4star,
         separating=separating,
-        w1_inverse_closed=_inverse_closed(W1),
-        w2_inverse_closed=_inverse_closed(W2),
+        w1_inverse_closed=w1_inverse_closed,
+        w2_inverse_closed=w2_inverse_closed,
         p2_forms_agree=(p2_cyl.holds == p2_coat.holds),
     )
 

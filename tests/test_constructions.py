@@ -1,14 +1,15 @@
 import json
+from itertools import product
 
 import pytest
 
 from platlab import (check_axioms, dump_system, enumerate_closed, make_mo,
                      separated_product, sharp)
 from platlab.constructions import (CRelation, FactorBijection, L0Report,
-                                   PairingData, build_perp2, build_perp3,
-                                   build_perp4, build_perp5,
-                                   enumerate_subspaces, gaussian_binomial,
-                                   mo_pair_swap_bijection,
+                                   PairingData, _row_mask, _weighted_states,
+                                   build_perp2, build_perp3, build_perp4,
+                                   build_perp5, enumerate_subspaces,
+                                   gaussian_binomial, mo_pair_swap_bijection,
                                    tensor_trace_lattice)
 from platlab.closure import EnumerationLimitError
 from platlab.gf import field
@@ -35,6 +36,8 @@ def test_c_relation_validation(mo2):
         CRelation(mo2, (0b0100, 0, 0, 0))
     with pytest.raises(ValueError, match="out of range"):
         CRelation.from_adjacency(mo2, [[7], [], [], []])
+    with pytest.raises(ValueError, match=r"C\(0\) holds 4, not a factor atom"):
+        CRelation(mo2, (0b10000, 0, 0, 0))
 
 
 def test_perp2_formula(setup):
@@ -240,6 +243,39 @@ def test_tensor_traces_match_span_membership(q, lam):
     assert j["strictness_witness"] == [p for p in range(n2 * n2)
                                        if witness >> p & 1]
     assert j["triples"] == triples
+
+
+def dot_mask(F, weights, row):
+    """Oracle: the trace mask of one row, one ``F.dot`` per product state,
+    as ``tensor_trace_lattice`` computed it before the table lookups."""
+    points = projective_line_points(F.q)
+    states = [(F.mul(u[0], v[0]), F.mul(u[0], v[1]),
+               F.mul(u[1], v[0]), F.mul(u[1], v[1]))
+              for u in points for v in points]
+    return sum(1 << p for p, x in enumerate(states)
+               if F.dot(row, x, weights) == 0)
+
+
+def _anisotropic(q, lam):
+    try:
+        make_quadratic_line_space(q, lam)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_table_masks_match_dot_masks(q):
+    F = field(q)
+    lam = next(lam for lam in F.nonzero if _anisotropic(q, lam))
+    weights = (1, lam, lam, F.mul(lam, lam))
+    states = _weighted_states(F, weights)
+    # every projective point of GF(q)^4, first nonzero coordinate 1
+    points = [v for v in product(range(q), repeat=4)
+              if next((x for x in v if x), 0) == 1]
+    assert len(points) == (q ** 4 - 1) // (q - 1)
+    for row in points:
+        assert _row_mask(F, states, row) == dot_mask(F, weights, row), row
 
 
 def test_tensor_trace_rejects_isotropic_form():

@@ -6,6 +6,9 @@ They run on random symmetric, anti-reflexive relations of up to 10 atoms
 (checked against ``brute_force_closed`` too), on intersection-closures of
 random families built with ``from_relation=False``, and on arbitrary
 families that contain ∅ and Σ but need not be intersection-closed.
+The atom walk of ``_minimal_nonzero`` is also checked against the
+``down_set`` scan it replaced, on those families and on the tensor traces
+and MO_n × MO_m products.
 
 ``orthomodularity``, ``center`` and the polar table of
 ``find_orthocomplementation`` are checked on the same relations against
@@ -25,6 +28,7 @@ from platlab import ClosureSystem, OrthoSpace, brute_force_closed
 from platlab import enumerate_closed, make_mo, separated_product
 from platlab._kernel import pykernel
 from platlab.bits import ids
+from platlab.constructions import tensor_trace_lattice
 from platlab.lattice import (_minimal_nonzero, apply_perm_mask, automorphisms,
                              center, covering_property,
                              find_orthocomplementation, is_closed_group,
@@ -63,6 +67,13 @@ def old_minimal_nonzero(sys):
         if not any(x != 0 and x != m and x & ~m == 0 for x in sys.masks):
             out.append(m)
     return out
+
+
+def down_set_minimal_nonzero(sys):
+    """The scan ``_minimal_nonzero`` made before its atom walk: one
+    ``down_set`` per closed set."""
+    return [m for m in sys.masks
+            if m != 0 and sys.down_set(m).bit_count() == 2]
 
 
 def old_degree_profiles(sys):
@@ -182,6 +193,30 @@ def test_intersection_closures_match_oracles(spec, rnd):
 def test_arbitrary_families_match_oracles(spec, rnd):
     space, fam = spec
     _agree_with_oracles(_explicit(space, fam, close=False), rnd)
+
+
+@SETTINGS
+@given(families(), st.booleans())
+def test_atom_walk_matches_the_down_set_scan(spec, close):
+    space, fam = spec
+    sys = _explicit(space, fam, close)
+    assert _minimal_nonzero(sys) == down_set_minimal_nonzero(sys)
+
+
+@pytest.mark.parametrize("q,lam", [(3, 1), (5, 2)])
+def test_atom_walk_matches_the_down_set_scan_on_traces(q, lam):
+    family, _ = tensor_trace_lattice(q, lam)
+    atoms = _minimal_nonzero(family)
+    assert atoms == down_set_minimal_nonzero(family)
+    assert len(atoms) == (q + 1) ** 2   # the product states, one by one
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+def test_atom_walk_matches_the_down_set_scan_on_mo_products(n, m):
+    _, sys = separated_product(make_mo(n), make_mo(m))
+    atoms = _minimal_nonzero(sys)
+    assert atoms == down_set_minimal_nonzero(sys)
+    assert atoms == [1 << p for p in range(sys.carrier.size)]
 
 
 def test_covering_falls_back_where_a_join_is_not_a_member():

@@ -63,6 +63,19 @@ def test_constructor_accepts_exactly_the_rows_without_a_defect(rows):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("labels,rows,atom,bit", [
+    (["a"], (0b10,), 0, 1),
+    (["a", "b"], (0b110, 0b001), 0, 2),
+])
+def test_constructor_rejects_a_row_bit_beyond_the_atoms(labels, rows, atom,
+                                                        bit):
+    assert _row_defect(rows) == (atom, bit)
+    with pytest.raises(ValueError) as exc:
+        OrthoSpace(labels, rows)
+    assert str(exc.value) == (f"relation row of atom {atom} has bit {bit}, "
+                              f"beyond its {len(rows)} atoms")
+
+
 def test_validate_relation_not_separating():
     # two unrelated atoms: {p}^⊥⊥ = Σ, lex-least witness is atom 0
     s = OrthoSpace(["x", "y"], (0, 0))

@@ -126,8 +126,23 @@ def test_check_axioms_validates_inputs(mo2, mo2_sys, pow3_sys, mo2_product):
     prod, psys = mo2_product
     with pytest.raises(CarrierMismatchError):
         check_axioms(prod, pow3_sys, mo2_sys, [], [])
-    with pytest.raises(ValueError, match="not a permutation"):
-        check_axioms(prod, mo2_sys, mo2_sys, [(0, 0, 1, 2)], [], psys)
+    # W is decided once per distinct W, but a bad W raises on every call
+    for _ in range(3):
+        with pytest.raises(ValueError, match="W1 element is not a perm"):
+            check_axioms(prod, mo2_sys, mo2_sys, [(0, 0, 1, 2)], [], psys)
+        with pytest.raises(ValueError, match="W2 element is not a perm"):
+            check_axioms(prod, mo2_sys, mo2_sys, [], [(0, 0, 1, 2)], psys)
+
+
+def test_inverse_closure_of_w_is_reported_per_side(mo2, mo2_sys, mo2_product):
+    prod, psys = mo2_product
+    cycle = (1, 2, 3, 0)
+    for W1, W2, want in (([cycle], [], (False, True)),
+                         ([], [cycle, (3, 0, 1, 2)], (True, True)),
+                         ([cycle], [cycle], (False, False))):
+        for _ in range(2):
+            rep = check_axioms(prod, mo2_sys, mo2_sys, W1, W2, psys)
+            assert (rep.w1_inverse_closed, rep.w2_inverse_closed) == want
 
 
 def test_lift_product_map(mo2_product):
