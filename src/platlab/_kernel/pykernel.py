@@ -30,7 +30,7 @@ def biclosure(rows, mask, full):
 
 
 def intersection_closure(seeds, full, max_sets=0):
-    """All intersections of subfamilies of ``seeds`` plus ``full``.
+    """All intersections of subfamilies of ``seeds`` plus ``full``, as a set.
 
     Adds one seed at a time: if F is intersection-closed and holds ``full``,
     F ∪ {x ∩ s : x ∈ F} is the closure of F ∪ {s}.  Larger seeds go first, so
@@ -45,4 +45,4 @@ def intersection_closure(seeds, full, max_sets=0):
         out |= {x & s for x in out}
         if max_sets and len(out) > max_sets:
             raise ValueError(f"closure enumeration exceeded {max_sets} sets")
-    return sorted(out)
+    return out

@@ -130,9 +130,9 @@ class ClosureSystem:
 
     ``masks`` holds the closed sets in canonical order (cardinality, then
     the ascending index tuple) and ``index`` maps each one to its position.
-    ``from_relation`` systems compute joins via biclosure; explicit families
-    (e.g. traces of subspaces) fall back to a least-superset scan, which
-    agrees with biclosure whenever both apply.
+    The constructor builds an explicit family (e.g. traces of subspaces);
+    only ``enumerate_closed`` and ``brute_force_closed`` build a carrier's
+    relation system, whose joins are biclosures.
 
     Order queries run on an order core built on the first such query: for
     each atom p an int whose bit i is set iff ``masks[i]`` contains p
@@ -143,12 +143,14 @@ class ClosureSystem:
     - ``up_set(m)``, the closed supersets of m: k ANDs of w words;
     - ``down_set(m)``, the closed subsets of m: n − k ORs of w words;
     - ``covers(a, b)``: one ``up_set`` and one ``down_set``;
-    - ``coatoms()``: one ``up_set`` per closed set, O(n·|L|·w) in all.
+    - ``atoms()``: one ``up_set`` per atom;
+    - ``coatoms()``: one ``up_set`` per closed set, O(n·|L|·w) in all;
+    - explicit ``join_mask(u)``: one ``up_set``, one AND per superset.
 
     The build costs one pass over the members of every closed set.
     """
 
-    def __init__(self, carrier, masks, from_relation=True):
+    def __init__(self, carrier, masks):
         self.carrier = carrier
         full = carrier.full
         masks = set(masks)
@@ -162,7 +164,7 @@ class ClosureSystem:
             width, "little").translate(REVERSED_BYTES))
         self.masks.sort(key=int.bit_count)
         self.index = {m: i for i, m in enumerate(self.masks)}
-        self.from_relation = from_relation
+        self._of_relation = False  # set by _relation_system only
         if 0 not in self.index or carrier.full not in self.index:
             raise ValueError("closure system must contain ∅ and Σ")
 
@@ -199,15 +201,16 @@ class ClosureSystem:
                                  "the family is not a closure system")
         return self.subset(j)
 
+    def is_system_of(self, space) -> bool:
+        """True iff enumerate_closed/brute_force_closed built it from space."""
+        return self._of_relation and _same_carrier(self.carrier, space)
+
     def join_mask(self, u: int) -> int:
-        """Least closed superset of an arbitrary mask (not required closed)."""
-        if self.from_relation:
+        """Meet of the members containing an arbitrary mask u; on an explicit
+        family, the polar over rows = masks of the index bitset up_set(u)."""
+        if self._of_relation:
             return _kernel.biclosure(self.carrier.rows, u, self.carrier.full)
-        j = self.carrier.full
-        for m in self.masks:
-            if m & u == u:
-                j &= m
-        return j
+        return _kernel.polar(self.masks, self.up_set(u), self.carrier.full)
 
     @cached_property
     def _columns(self):
@@ -259,8 +262,16 @@ class ClosureSystem:
         return self.strictly_between(am, bm) == 0
 
     def atoms(self):
-        """Closed singletons, in atom order where present."""
-        return [m for m in self.masks if m.bit_count() == 1]
+        """Minimal nonzero members in canonical order: the next is the first
+        member outside ``above``, ∅ and the supersets of those found so far;
+        exact on any family, as smaller members come first."""
+        atoms = []
+        above = 1  # masks[0] is ∅
+        for i, m in enumerate(self.masks):
+            if not above >> i & 1:
+                atoms.append(m)
+                above |= self.up_set(m)
+        return atoms
 
     def coatoms(self):
         """Maximal proper members: the m ≠ Σ whose only strict closed
@@ -284,7 +295,7 @@ def enumerate_closed(space, max_atoms=None, max_sets=DEFAULT_SET_LIMIT
     except ValueError as exc:
         raise EnumerationLimitError(
             f"{exc}; raise the limit with max_sets=") from None
-    return ClosureSystem(space, masks)
+    return _relation_system(space, masks)
 
 
 def brute_force_closed(space, max_atoms=20) -> ClosureSystem:
@@ -298,7 +309,13 @@ def brute_force_closed(space, max_atoms=20) -> ClosureSystem:
     rows, full, n = space.rows, space.full, space.size
     masks = [m for m in range(1 << n)
              if _kernel.biclosure(rows, m, full) == m]
-    return ClosureSystem(space, masks)
+    return _relation_system(space, masks)
+
+
+def _relation_system(space, masks) -> ClosureSystem:
+    sys = ClosureSystem(space, masks)  # the only relation-system marker
+    sys._of_relation = True
+    return sys
 
 
 def dump_system(sys: ClosureSystem) -> str:

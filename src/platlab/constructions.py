@@ -325,7 +325,7 @@ def tensor_trace_lattice(q: int, lam: int):
             traces.add(mask)
 
     family = pykernel.intersection_closure(traces, prod.full)
-    family_sys = ClosureSystem(prod, family, from_relation=False)
+    family_sys = ClosureSystem(prod, family)
 
     contains = all(m in family_sys.index for m in sepsys.masks)
     witness = next((m for m in family_sys.masks if m not in sepsys.index),

@@ -115,7 +115,7 @@ def covering_property(sys: ClosureSystem) -> Verdict:
 
 def _require_own_system(space, sys: ClosureSystem):
     # the polarity analyses read ⊥ from space and the closed sets from sys
-    if not (sys.from_relation and _same_carrier(sys.carrier, space)):
+    if not sys.is_system_of(space):
         raise CarrierMismatchError(
             "the analysis needs the closure system of the carrier's relation")
 
@@ -265,25 +265,6 @@ def is_transitive(group: PermutationGroup) -> bool:
     return len(orbit) == group.degree
 
 
-def _minimal_nonzero(sys: ClosureSystem):
-    """Closed sets whose only strict closed subset is ∅.
-
-    One walk in canonical order, smallest sets first: ``above`` holds the
-    index bits of ∅ and of every superset of an atom found so far, and the
-    first member outside it is the next atom.  A member that is not minimal
-    contains a smaller minimal one, which the walk met first, so this is
-    exact on any family, intersection-closed or not: one ``up_set`` per
-    atom.
-    """
-    atoms = []
-    above = 1  # masks[0] is ∅
-    for i, m in enumerate(sys.masks):
-        if not above >> i & 1:
-            atoms.append(m)
-            above |= sys.up_set(m)
-    return atoms
-
-
 def find_orthocomplementation(sys: ClosureSystem,
                               max_elements=ORTHOCOMPLEMENT_SEARCH_LIMIT):
     """An order-reversing involution ' with a∧a' = ∅ and a∨a' = Σ, as the
@@ -294,9 +275,9 @@ def find_orthocomplementation(sys: ClosureSystem,
     order-reversing involution on the closed sets, a ∧ a^⊥ = ∅ by
     anti-reflexivity, and a ∨ a^⊥ = (a^⊥ ∩ a^⊥⊥)^⊥ = ∅^⊥ = Σ.
 
-    An explicit ``from_relation=False`` family, such as the tensor traces,
-    is searched, and only then does ``max_elements`` limit the closed sets:
-    exhaustive backtracking over atom → coatom assignments.  An
+    A family built by the ``ClosureSystem`` constructor, such as the tensor
+    traces, is searched, and only then does ``max_elements`` limit the
+    closed sets: exhaustive backtracking over atom → coatom assignments.  An
     orthocomplementation of an atomistic lattice is determined by its
     restriction to the atoms, so None is exact there; on a lattice that is
     not atomistic the search can miss one.  Fast necessary filters run
@@ -304,14 +285,14 @@ def find_orthocomplementation(sys: ClosureSystem,
     must equal the up-degree profile.
     """
     carrier = sys.carrier
-    if sys.from_relation:
+    if sys.is_system_of(carrier):
         return {m: _kernel.polar(carrier.rows, m, carrier.full)
                 for m in sys.masks}
     if len(sys) > max_elements:
         raise EnumerationLimitError(
             f"system has {len(sys)} elements, search limit {max_elements}; "
             "raise it with max_elements=")
-    atoms = _minimal_nonzero(sys)
+    atoms = sys.atoms()
     coatoms = sys.coatoms()
     if len(atoms) != len(coatoms):
         return None
@@ -325,8 +306,7 @@ def find_orthocomplementation(sys: ClosureSystem,
     def consistent(a, c):
         if a & ~c == 0:  # would give a ∧ a' = a ≠ ∅
             return False
-        if sys.join_mask(a | c) != sys.carrier.full:
-            return False
+        # no a ∨ c = Σ test: only c and Σ contain the coatom c, and a ⊄ c
         for b, cb in assign.items():
             if ((b & ~c == 0) != (a & ~cb == 0)) or cb == c:
                 return False

@@ -17,7 +17,8 @@ from . import _kernel
 from .bits import ids, rect
 from .closure import (AtomSubset, CarrierMismatchError, ClosureSystem,
                       enumerate_closed)
-from .lattice import apply_perm_mask, automorphisms, invert
+from .lattice import (_require_own_system, apply_perm_mask, automorphisms,
+                      invert)
 from .orthospace import (OrthoSpace, Verdict, _require_orthogonality,
                          _separating)
 
@@ -241,7 +242,7 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
     P1 is structural (the carrier is a product by type) and reported for
     completeness.  P2 is computed both from cylinder unions and from the #
     coatoms; the two verdicts are cross-checked.  P4/P4* are reported as
-    vacuous when either W is empty.
+    vacuous when either W is empty.  A ``prod_sys`` must be prod's own.
     """
     if not (L1sys.carrier == prod.left and L2sys.carrier == prod.right):
         raise CarrierMismatchError(
@@ -251,6 +252,7 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
     w1_inverse_closed = _checked_inverse_closed(W1, prod.left.size, "W1")
     w2_inverse_closed = _checked_inverse_closed(W2, prod.right.size, "W2")
     sys = prod_sys if prod_sys is not None else enumerate_closed(prod)
+    _require_own_system(prod, sys)
 
     separating = _separating(prod)
     p2_cyl = _check_p2_cylinders(prod, sys, L1sys, L2sys)

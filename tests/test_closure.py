@@ -134,14 +134,14 @@ def test_canonical_order_matches_the_index_tuple_key(spec):
     n, fam = spec
     space = OrthoSpace([f"x{i}" for i in range(n)], [0] * n)
     masks = set(fam) | {0, space.full}
-    sys = ClosureSystem(space, masks, from_relation=False)
+    sys = ClosureSystem(space, masks)
     assert sys.masks == sorted(masks, key=canonical_key)
 
 
 def test_closure_system_rejects_a_set_outside_the_carrier():
     space = OrthoSpace(["a", "b"], [0, 0])
     with pytest.raises(ValueError, match="outside the carrier"):
-        ClosureSystem(space, [0, 0b11, 0b100], from_relation=False)
+        ClosureSystem(space, [0, 0b11, 0b100])
 
 
 def test_dump_format():

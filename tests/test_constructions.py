@@ -11,7 +11,8 @@ from platlab.constructions import (CRelation, FactorBijection, L0Report,
                                    build_perp5, enumerate_subspaces,
                                    gaussian_binomial, mo_pair_swap_bijection,
                                    tensor_trace_lattice)
-from platlab.closure import EnumerationLimitError
+from platlab.closure import (CarrierMismatchError, ClosureSystem,
+                             EnumerationLimitError)
 from platlab.gf import field
 from platlab.lattice import automorphisms
 from platlab.orthospace import (_separating, make_quadratic_line_space,
@@ -79,6 +80,19 @@ def test_perp2_breaks_p2(setup, mo2_sys):
                        W, W).to_json()
     assert rep["P2"]["holds"] is False
     assert rep["P3"]["holds"] is True
+
+
+def test_check_axioms_refuses_another_relations_system(setup, mo2_sys):
+    # the # product's closed sets are not those of ⊥2: given them, P2 and
+    # P4 read as holding, while on ⊥2's own system both fail
+    prod, W, C = setup
+    perp2 = build_perp2(prod, C, C)
+    rep = check_axioms(perp2, mo2_sys, mo2_sys, W, W).to_json()
+    assert rep["P2"]["holds"] is False and rep["P4"]["holds"] is False
+    for other in (enumerate_closed(prod),
+                  ClosureSystem(perp2, enumerate_closed(perp2).masks)):
+        with pytest.raises(CarrierMismatchError):
+            check_axioms(perp2, mo2_sys, mo2_sys, W, W, other)
 
 
 def test_perp3_breaks_p3(setup, mo2_sys):

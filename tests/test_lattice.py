@@ -107,8 +107,19 @@ def test_no_orthocomplementation_on_asymmetric_family():
     from platlab.closure import ClosureSystem
     from platlab.orthospace import OrthoSpace
     s = OrthoSpace(["a", "b", "c"], (0, 0, 0))
-    sys = ClosureSystem(s, [0, 1, 2, 3, 7], from_relation=False)
+    sys = ClosureSystem(s, [0, 1, 2, 3, 7])
     assert find_orthocomplementation(sys) is None
+
+
+def test_a_hand_built_family_is_searched_not_trusted(mo2):
+    # a 3-element chain on MO2's carrier: the polar table would map {0} to
+    # {1}, which is not a member, and no orthocomplementation exists
+    chain = ClosureSystem(mo2, [0, 0b0001, 0b1111])
+    assert find_orthocomplementation(chain) is None
+    with pytest.raises(CarrierMismatchError):
+        analysis_report(mo2, chain)
+    with pytest.raises(CarrierMismatchError):
+        orthomodularity(mo2, chain)
 
 
 def test_analysis_report_shape(mo2, mo2_sys, mo2_product):
@@ -149,14 +160,14 @@ def test_polarity_analyses_need_the_carriers_own_system(analysis, mo2,
     other = enumerate_closed(make_mo(3))
     with pytest.raises(CarrierMismatchError):
         analysis(mo2, other)
-    family = ClosureSystem(mo2, mo2_sys.masks, from_relation=False)
+    family = ClosureSystem(mo2, mo2_sys.masks)
     with pytest.raises(CarrierMismatchError):
         analysis(mo2, family)
     analysis(mo2, mo2_sys)
 
 
 def test_lattice_automorphisms_accept_an_explicit_family(mo2, mo2_sys):
-    family = ClosureSystem(mo2, mo2_sys.masks, from_relation=False)
+    family = ClosureSystem(mo2, mo2_sys.masks)
     assert len(automorphisms(mo2, family, mode="lattice")) == 24
     with pytest.raises(CarrierMismatchError):
         automorphisms(mo2, enumerate_closed(make_mo(3)), mode="lattice")

@@ -4,11 +4,12 @@ The ``old_*`` functions below are the scans ``ClosureSystem`` and
 ``platlab.lattice`` used before the order core, kept verbatim as oracles.
 They run on random symmetric, anti-reflexive relations of up to 10 atoms
 (checked against ``brute_force_closed`` too), on intersection-closures of
-random families built with ``from_relation=False``, and on arbitrary
-families that contain ∅ and Σ but need not be intersection-closed.
-The atom walk of ``_minimal_nonzero`` is also checked against the
-``down_set`` scan it replaced, on those families and on the tensor traces
-and MO_n × MO_m products.
+random families built by the ``ClosureSystem`` constructor, and on
+arbitrary families that contain ∅ and Σ but need not be
+intersection-closed.  The atom walk of ``ClosureSystem.atoms`` is also
+checked against the ``down_set`` scan it replaced, on those families and on
+the tensor traces and MO_n × MO_m products, and the explicit join against
+the meet of the supersets.
 
 ``orthomodularity``, ``center`` and the polar table of
 ``find_orthocomplementation`` are checked on the same relations against
@@ -29,10 +30,9 @@ from platlab import enumerate_closed, make_mo, separated_product
 from platlab._kernel import pykernel
 from platlab.bits import ids
 from platlab.constructions import tensor_trace_lattice
-from platlab.lattice import (_minimal_nonzero, apply_perm_mask, automorphisms,
-                             center, covering_property,
-                             find_orthocomplementation, is_closed_group,
-                             orthomodularity)
+from platlab.lattice import (apply_perm_mask, automorphisms, center,
+                             covering_property, find_orthocomplementation,
+                             is_closed_group, orthomodularity)
 from platlab.orthospace import Verdict
 
 MAX_ATOMS = 10
@@ -70,7 +70,7 @@ def old_minimal_nonzero(sys):
 
 
 def down_set_minimal_nonzero(sys):
-    """The scan ``_minimal_nonzero`` made before its atom walk: one
+    """The scan the atom walk of ``atoms()`` replaced: one
     ``down_set`` per closed set."""
     return [m for m in sys.masks
             if m != 0 and sys.down_set(m).bit_count() == 2]
@@ -125,7 +125,7 @@ def families(draw):
 def _explicit(space, fam, close):
     full = space.full
     masks = pykernel.intersection_closure(fam, full) if close else fam + [full]
-    return ClosureSystem(space, set(masks) | {0, full}, from_relation=False)
+    return ClosureSystem(space, set(masks) | {0, full})
 
 
 def _meet_of_supersets(gens, m, full):
@@ -157,7 +157,7 @@ def _agree_with_oracles(sys, rnd):
         assert sys.down_set(m) == sum(1 << j for j, x in enumerate(sys.masks)
                                       if x & ~m == 0)
     assert sys.coatoms() == old_coatoms(sys)
-    assert _minimal_nonzero(sys) == old_minimal_nonzero(sys)
+    assert sys.atoms() == old_minimal_nonzero(sys)
     down, up = old_degree_profiles(sys)
     assert sorted(sys.down_set(m).bit_count() for m in sys.masks) == down
     assert sorted(sys.up_set(m).bit_count() for m in sys.masks) == up
@@ -184,7 +184,7 @@ def test_intersection_closures_match_oracles(spec, rnd):
     gens = set(fam) | {space.full}
     brute = [m for m in range(1 << space.size)
              if m == 0 or m == _meet_of_supersets(gens, m, space.full)]
-    assert sys.masks == ClosureSystem(space, brute, False).masks
+    assert sys.masks == ClosureSystem(space, brute).masks
     _agree_with_oracles(sys, rnd)
 
 
@@ -200,13 +200,32 @@ def test_arbitrary_families_match_oracles(spec, rnd):
 def test_atom_walk_matches_the_down_set_scan(spec, close):
     space, fam = spec
     sys = _explicit(space, fam, close)
-    assert _minimal_nonzero(sys) == down_set_minimal_nonzero(sys)
+    assert sys.atoms() == down_set_minimal_nonzero(sys)
+
+
+@SETTINGS
+@given(families(), st.booleans())
+def test_explicit_join_is_the_meet_of_the_supersets(spec, close):
+    space, fam = spec
+    sys = _explicit(space, fam, close)
+    for u in range(1 << space.size):
+        assert sys.join_mask(u) == _meet_of_supersets(sys.masks, u,
+                                                      space.full)
+
+
+def test_atoms_are_the_minimal_nonzero_members():
+    # {2} and {0, 1} are the minimal members; only {2} is a singleton
+    sys = enumerate_closed(OrthoSpace(["a", "b", "c"], [0b100, 0b100, 0b011]))
+    assert sys.masks == [0, 0b100, 0b011, 0b111]
+    assert sys.atoms() == [0b100, 0b011]
+    # with ⊥ empty, ∅ and Σ are the only closed sets, and Σ is the atom
+    assert enumerate_closed(OrthoSpace(["a", "b"], [0, 0])).atoms() == [0b11]
 
 
 @pytest.mark.parametrize("q,lam", [(3, 1), (5, 2)])
 def test_atom_walk_matches_the_down_set_scan_on_traces(q, lam):
     family, _ = tensor_trace_lattice(q, lam)
-    atoms = _minimal_nonzero(family)
+    atoms = family.atoms()
     assert atoms == down_set_minimal_nonzero(family)
     assert len(atoms) == (q + 1) ** 2   # the product states, one by one
 
@@ -214,7 +233,7 @@ def test_atom_walk_matches_the_down_set_scan_on_traces(q, lam):
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
 def test_atom_walk_matches_the_down_set_scan_on_mo_products(n, m):
     _, sys = separated_product(make_mo(n), make_mo(m))
-    atoms = _minimal_nonzero(sys)
+    atoms = sys.atoms()
     assert atoms == down_set_minimal_nonzero(sys)
     assert atoms == [1 << p for p in range(sys.carrier.size)]
 
@@ -223,8 +242,7 @@ def test_covering_falls_back_where_a_join_is_not_a_member():
     # not intersection-closed: ∅ ∨ r is {r}, not a member, for r = 0, 1, 2,
     # so the first set strictly between ∅ and ∅ ∨ 3 = Σ is no atom join
     space = OrthoSpace([f"x{i}" for i in range(4)], [0] * 4)
-    sys = ClosureSystem(space, [0, 0b0011, 0b0101, 0b0110, 0b1111],
-                        from_relation=False)
+    sys = ClosureSystem(space, [0, 0b0011, 0b0101, 0b0110, 0b1111])
     assert covering_property(sys) == old_covering_property(sys) == \
         Verdict(False, ([], 3, [0, 1]))
 
@@ -314,7 +332,7 @@ def test_polar_table_where_the_search_finds_none():
     assert find_orthocomplementation(sys) == {
         0: 0b1111, 0b0100: 0b1010, 0b1000: 0b0101, 0b0101: 0b1000,
         0b1010: 0b0100, 0b1111: 0}
-    family = ClosureSystem(space, sys.masks, from_relation=False)
+    family = ClosureSystem(space, sys.masks)
     assert find_orthocomplementation(family) is None
 
 
@@ -338,7 +356,7 @@ def test_relations_with_a_row_defect_are_rejected(rows, message):
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
 def test_polar_table_equals_the_search_on_mo_products(n, m):
     prod, sys = separated_product(make_mo(n), make_mo(m))
-    family = ClosureSystem(prod, sys.masks, from_relation=False)
+    family = ClosureSystem(prod, sys.masks)
     assert find_orthocomplementation(sys) == \
         find_orthocomplementation(family, max_elements=len(family))
 

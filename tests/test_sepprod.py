@@ -300,8 +300,7 @@ def _factor(n):
 def _without(fsys, removed):
     """The factor family minus ``removed``, as an explicit family."""
     return ClosureSystem(fsys.carrier,
-                         [m for m in fsys.masks if m not in removed],
-                         from_relation=False)
+                         [m for m in fsys.masks if m not in removed])
 
 
 def _same(new, old):
