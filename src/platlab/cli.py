@@ -320,7 +320,7 @@ def _suite_lemmas(config):
     ok = True
     for p in range(prod.size):
         s1, s2, k = sp.p_hash_components(prod, p)
-        if s1.bits not in sys2.index or s2.bits not in sys2.index:
+        if s1.bits not in sys2.sets or s2.bits not in sys2.sets:
             ok = False
     rep = sp.check_axioms(prod, sys2, sys2, W, W, psys)
     checks.append(("closed-shadows-imply-p3",

@@ -9,6 +9,7 @@ intersection-closure of the per-atom polar rows plus the full set.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from functools import cached_property
 
 from . import _kernel
@@ -128,8 +129,11 @@ def biclosure(space, a: AtomSubset) -> AtomSubset:
 class ClosureSystem:
     """A fully enumerated intersection-closed family over one carrier.
 
-    ``masks`` holds the closed sets in canonical order (cardinality, then
-    the ascending index tuple) and ``index`` maps each one to its position.
+    ``sets`` holds the closed sets, unordered; membership tests read it.
+    ``masks``, the closed sets in canonical order (cardinality, then the
+    ascending index tuple), and ``index``, which maps each one to its
+    position, are built on first use.  ``first(pred)`` finds the
+    canonical-first member with a property without building that order.
     The constructor builds an explicit family (e.g. traces of subspaces);
     only ``enumerate_closed`` and ``brute_force_closed`` build a carrier's
     relation system, whose joins are biclosures.
@@ -152,31 +156,71 @@ class ClosureSystem:
 
     def __init__(self, carrier, masks):
         self.carrier = carrier
-        full = carrier.full
-        masks = set(masks)
-        if max(masks, default=0) > full:
-            raise ValueError("closure system has a set outside the carrier")
-        # canonical order: within one size, a precedes b iff the lowest atom
-        # of a ^ b is in a, so sort on the complement read from atom 0 up
-        # (bit-reversed little-endian bytes), then stably by size
-        width = (carrier.size + 7) // 8
-        self.masks = sorted(masks, key=lambda m: (full ^ m).to_bytes(
-            width, "little").translate(REVERSED_BYTES))
-        self.masks.sort(key=int.bit_count)
-        self.index = {m: i for i, m in enumerate(self.masks)}
+        self.sets = frozenset(masks)
         self._of_relation = False  # set by _relation_system only
-        if 0 not in self.index or carrier.full not in self.index:
+        if (min(self.sets, default=0) < 0
+                or max(self.sets, default=0) > carrier.full):
+            raise ValueError("closure system has a set outside the carrier")
+        if 0 not in self.sets or carrier.full not in self.sets:
             raise ValueError("closure system must contain ∅ and Σ")
 
+    @cached_property
+    def _tie_key(self):
+        # canonical order within one size: a precedes b iff the lowest atom
+        # of a ^ b is in a, so compare the complements read from atom 0 up
+        # (bit-reversed little-endian bytes)
+        full, width = self.carrier.full, (self.carrier.size + 7) // 8
+        return lambda m: (full ^ m).to_bytes(width, "little").translate(
+            REVERSED_BYTES)
+
+    @cached_property
+    def masks(self):
+        masks = sorted(self.sets, key=self._tie_key)
+        masks.sort(key=int.bit_count)  # stable: ties keep the order above
+        return masks
+
+    @cached_property
+    def index(self):
+        return {m: i for i, m in enumerate(self.masks)}
+
+    @cached_property
+    def _by_size(self):
+        return sorted(self.sets, key=int.bit_count)
+
+    def first(self, pred):
+        """The first member m in canonical order with pred(m), or None.
+
+        The members are scanned by size, so ``masks`` is not built.  In the
+        first size that has a hit, canonical order puts a set with a lower
+        lowest atom first, so the rest of that size is tested only where
+        its lowest atom is no higher than the best hit's, and the canonical
+        tie-break runs only among the hits."""
+        by_size = self._by_size
+        start = 0
+        while start < len(by_size):
+            end = bisect_right(by_size, by_size[start].bit_count(), start,
+                               key=int.bit_count)
+            rest = iter(by_size[start:end])
+            hit = next(filter(pred, rest), None)
+            if hit is not None:
+                hits, low = [hit], hit & -hit
+                for m in rest:
+                    if m & -m <= low and pred(m):
+                        hits.append(m)
+                        low = m & -m
+                return hit if len(hits) == 1 else min(hits, key=self._tie_key)
+            start = end
+        return None
+
     def __len__(self):
-        return len(self.masks)
+        return len(self.sets)
 
     def __iter__(self):
         return (AtomSubset(self.carrier, m) for m in self.masks)
 
     def __contains__(self, a) -> bool:
         bits = a.bits if isinstance(a, AtomSubset) else a
-        return bits in self.index
+        return bits in self.sets
 
     def subset(self, mask: int) -> AtomSubset:
         return AtomSubset(self.carrier, mask)
@@ -187,7 +231,7 @@ class ClosureSystem:
                 raise CarrierMismatchError(
                     "operand does not belong to this system's carrier")
             a = a.bits
-        if a not in self.index:
+        if a not in self.sets:
             raise NotClosedError(f"operand is not a closed set: {a:#x}")
         return a
 
@@ -196,7 +240,7 @@ class ClosureSystem:
 
     def join(self, a, b) -> AtomSubset:
         j = self.join_mask(self._operand(a) | self._operand(b))
-        if j not in self.index:
+        if j not in self.sets:
             raise NotClosedError("join fell outside the system; "
                                  "the family is not a closure system")
         return self.subset(j)

@@ -327,9 +327,8 @@ def tensor_trace_lattice(q: int, lam: int):
     family = pykernel.intersection_closure(traces, prod.full)
     family_sys = ClosureSystem(prod, family)
 
-    contains = all(m in family_sys.index for m in sepsys.masks)
-    witness = next((m for m in family_sys.masks if m not in sepsys.index),
-                   None)
+    contains = sepsys.sets <= family_sys.sets
+    witness = family_sys.first(lambda m: m not in sepsys.sets)
     triples = sum(1 for m in traces
                   if m.bit_count() == 3 and _pairwise_product_distinct(prod, m))
     oc = find_orthocomplementation(family_sys)

@@ -38,6 +38,15 @@ def compose(p, q):
     return tuple(p[q[i]] for i in range(len(q)))
 
 
+def is_permutation(u, degree) -> bool:
+    """True iff u lists each of the atoms 0..degree-1 once, as ints; a
+    float or a bool equal to an index is not one."""
+    entries = list(u)
+    return (all(isinstance(x, int) and not isinstance(x, bool)
+                for x in entries)
+            and sorted(entries) == list(range(degree)))
+
+
 def invert(p):
     out = [0] * len(p)
     for i, j in enumerate(p):
@@ -143,9 +152,9 @@ def center(sys: ClosureSystem, space):
     """
     _require_own_system(space, sys)
     full = space.full
-    # Σ∖z closed is implied by the polar test; the index lookup is cheaper
+    # Σ∖z closed is implied by the polar test; the set lookup is cheaper
     return [zm for zm in sys.masks
-            if full ^ zm in sys.index
+            if full ^ zm in sys.sets
             and _kernel.polar(space.rows, zm, full) == full ^ zm]
 
 
@@ -168,7 +177,7 @@ def _is_automorphism(space, sys, perm, mode):
     if mode == "ortho":
         return all(apply_perm_mask(perm, space.rows[p]) == space.rows[perm[p]]
                    for p in range(space.size))
-    return all(apply_perm_mask(perm, m) in sys.index for m in sys.masks)
+    return all(apply_perm_mask(perm, m) in sys.sets for m in sys.sets)
 
 
 def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
@@ -189,7 +198,7 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
     n = space.size
     if generators is not None:
         for g in generators:
-            if sorted(g) != list(range(n)):
+            if not is_permutation(g, n):
                 raise ValueError(f"not a permutation of {n} atoms: {g}")
             if not _is_automorphism(space, sys, tuple(g), mode):
                 raise ValueError(f"supplied generator is not an "
@@ -207,7 +216,7 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
     # profile pruning: atoms may only map to atoms with the same closed-set
     # membership signature (and polar degree in ortho mode)
     def profile(p):
-        sizes = sorted(m.bit_count() for m in sys.masks if m >> p & 1)
+        sizes = sorted(m.bit_count() for m in sys.sets if m >> p & 1)
         if mode == "ortho":
             return rows[p].bit_count(), tuple(sizes)
         return tuple(sizes)
@@ -216,7 +225,7 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
     # lattice mode: the closed sets whose highest atom is k are mapped, and
     # must land in the family, as soon as atom k is placed
     by_top = [[] for _ in range(n)]
-    for m in sys.masks:
+    for m in sys.sets:
         if m:
             by_top[m.bit_length() - 1].append(m)
     found = []
@@ -238,7 +247,7 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
                 continue
             image[k] = q
             if mode == "lattice" and not all(
-                    apply_perm_mask(image, m) in sys.index for m in by_top[k]):
+                    apply_perm_mask(image, m) in sys.sets for m in by_top[k]):
                 continue
             backtrack(k + 1, placed | 1 << q)
         image[k] = -1
@@ -319,7 +328,7 @@ def find_orthocomplementation(sys: ClosureSystem,
             for a in atoms:
                 if a & ~m == 0:
                     img &= assign[a]
-            if img not in sys.index:
+            if img not in sys.sets:
                 return None
             table[m] = img
         for m, im in table.items():

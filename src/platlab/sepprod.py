@@ -18,7 +18,7 @@ from .bits import ids, rect
 from .closure import (AtomSubset, CarrierMismatchError, ClosureSystem,
                       enumerate_closed)
 from .lattice import (_require_own_system, apply_perm_mask, automorphisms,
-                      invert)
+                      invert, is_permutation)
 from .orthospace import (OrthoSpace, Verdict, _require_orthogonality,
                          _separating)
 
@@ -102,9 +102,9 @@ def p_sharp(prod: ProductSpace, p: int) -> AtomSubset:
 
 def lift_product_map(prod: ProductSpace, u1, u2):
     """(p₁,p₂) ↦ (u₁(p₁), u₂(p₂)) as a product-atom permutation."""
-    if sorted(u1) != list(range(prod.left.size)):
+    if not is_permutation(u1, prod.left.size):
         raise ValueError(f"u1 is not a bijection on {prod.left.size} atoms")
-    if sorted(u2) != list(range(prod.right.size)):
+    if not is_permutation(u2, prod.right.size):
         raise ValueError(f"u2 is not a bijection on {prod.right.size} atoms")
     return _lift(u1, u2, prod.right.size)
 
@@ -146,14 +146,14 @@ def _check_p2_cylinders(prod, sys, L1sys, L2sys) -> Verdict:
     for a1 in L1sys.masks:
         for a2 in L2sys.masks:
             u = prod.cylinder1(a1) | prod.cylinder2(a2)
-            if u not in sys.index:
+            if u not in sys.sets:
                 return Verdict(False, {"a1": ids(a1), "a2": ids(a2)})
     return Verdict(True, None)
 
 
 def _check_p2_coatoms(prod, sys) -> Verdict:
     for p in range(prod.size):
-        if prod.sharp_row(p) not in sys.index:
+        if prod.sharp_row(p) not in sys.sets:
             return Verdict(False, {"atom": p})
     return Verdict(True, None)
 
@@ -165,16 +165,21 @@ def _check_p3(prod, sys, L1sys, L2sys) -> Verdict:
     n1, n2 = prod.left.size, prod.right.size
     block = prod.right.full
     col = rect(prod.left.full, 1, n2)
-    for m in sys.masks:
+    failing = {}  # closed cylinder over a set that is not -> (side, set)
+    for m in sys.sets:
         low = m & col
         if low * block == m:
             a1 = sum(1 << i for i in range(n1) if low >> (i * n2) & 1)
-            if a1 not in L1sys.index:
-                return Verdict(False, {"side": 1, "set": ids(a1)})
+            if a1 not in L1sys.sets:
+                failing[m] = (1, a1)
+                continue  # side 1 first
         a2 = m & block
-        if a2 * col == m and a2 not in L2sys.index:
-            return Verdict(False, {"side": 2, "set": ids(a2)})
-    return Verdict(True, None)
+        if a2 * col == m and a2 not in L2sys.sets:
+            failing[m] = (2, a2)
+    if not failing:
+        return Verdict(True, None)
+    side, a = failing[sys.first(failing.__contains__)]
+    return Verdict(False, {"side": side, "set": ids(a)})
 
 
 def _lifts(prod, W1, W2):
@@ -188,11 +193,22 @@ def _lifts(prod, W1, W2):
 
 
 def _check_p4(prod, sys, W1, W2) -> Verdict:
+    sets = sys.sets
     for u1, u2, perm in _lifts(prod, W1, W2):
-        for m in sys.masks:
-            if apply_perm_mask(perm, m) not in sys.index:
-                return Verdict(False, {"u1": list(u1), "u2": list(u2),
-                                       "set": ids(m)})
+        images = [1 << q for q in perm]
+
+        def moved_out(m):  # apply_perm_mask inlined: one call per set
+            image = 0
+            while m:
+                low = m & -m
+                image |= images[low.bit_length() - 1]
+                m ^= low
+            return image not in sets
+
+        m = sys.first(moved_out)
+        if m is not None:
+            return Verdict(False, {"u1": list(u1), "u2": list(u2),
+                                   "set": ids(m)})
     return Verdict(True, None)
 
 
@@ -218,7 +234,7 @@ def _check_lifts_commute(prod, W1, W2) -> Verdict:
 
 def _validate_w(W, degree, name):
     for u in W:
-        if sorted(u) != list(range(degree)):
+        if not is_permutation(u, degree):
             raise ValueError(f"{name} element is not a permutation of "
                              f"{degree} atoms: {tuple(u)}")
 
@@ -232,6 +248,16 @@ def _checked_inverse_closed(W, degree, name):
     _validate_w(W, degree, name)
     perms = set(W)
     return all(invert(u) in perms for u in perms)
+
+
+def _inverse_closed(W, degree, name):
+    """_checked_inverse_closed for any W: one that cannot be hashed holds
+    an entry that is no atom index, and _validate_w raises on it."""
+    try:
+        hash(W)
+    except TypeError:
+        _validate_w(W, degree, name)
+    return _checked_inverse_closed(W, degree, name)
 
 
 def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
@@ -249,8 +275,8 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
             "factor systems do not match the product factors")
     W1 = tuple(tuple(u) for u in W1)
     W2 = tuple(tuple(u) for u in W2)
-    w1_inverse_closed = _checked_inverse_closed(W1, prod.left.size, "W1")
-    w2_inverse_closed = _checked_inverse_closed(W2, prod.right.size, "W2")
+    w1_inverse_closed = _inverse_closed(W1, prod.left.size, "W1")
+    w2_inverse_closed = _inverse_closed(W2, prod.right.size, "W2")
     sys = prod_sys if prod_sys is not None else enumerate_closed(prod)
     _require_own_system(prod, sys)
 
@@ -337,7 +363,7 @@ def daniel_lift(f, L1sys: ClosureSystem, L2sys: ClosureSystem) -> LatticeMap:
         for p in range(n):
             if bm >> f[p] & 1:
                 pre |= 1 << p
-        if pre not in L1sys.index:
+        if pre not in L1sys.sets:
             raise DanielConditionError(ids(bm), ids(pre))
     table = {}
     for am in L1sys.masks:
@@ -352,7 +378,7 @@ def daniel_lift(f, L1sys: ClosureSystem, L2sys: ClosureSystem) -> LatticeMap:
                 raise AssertionError("lifted map is not join-preserving; "
                                      "this contradicts the lift theorem")
     for p in range(n):
-        if (1 << p) in L1sys.index and not table[1 << p] >> f[p] & 1:
+        if (1 << p) in L1sys.sets and not table[1 << p] >> f[p] & 1:
             raise AssertionError("lifted map does not dominate f on atoms")
     return LatticeMap(L1sys, L2sys, f, table)
 

@@ -235,3 +235,17 @@ def test_perp4_builds_fails_when_p2_holds(monkeypatch):
     assert checks["perp4-builds"]["pass"] is False
     assert checks["perp4-builds"]["witness"] is True
     assert rep["pass"] is False
+
+
+def test_check_rejects_a_float_in_w(tmp_path):
+    mo1 = make_mo(1)
+    doc = {"left": json.loads(dump_space(mo1)),
+           "right": json.loads(dump_space(mo1)), "pairs": []}
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps(doc))
+    w1 = tmp_path / "w.json"
+    w1.write_text("[[1.0, 0], [0, 1]]")
+    res = invoke("check", "--relation", str(rel), "--w1", str(w1))
+    _usage_error(res, "bad --w1 file", "not a permutation")
+    assert sum(line.startswith("Error:")
+               for line in res.output.splitlines()) == 1

@@ -144,6 +144,24 @@ def test_closure_system_rejects_a_set_outside_the_carrier():
         ClosureSystem(space, [0, 0b11, 0b100])
 
 
+def test_closure_system_rejects_a_negative_set():
+    with pytest.raises(ValueError, match="outside the carrier"):
+        ClosureSystem(make_mo(1), [0, -1, 3])
+
+
+def test_first_breaks_ties_in_canonical_order():
+    # canonical order: {0,3} before {1,2}, and {0,1,3}, {0,2,3}, {1,2,3}
+    space = OrthoSpace([f"x{i}" for i in range(4)], [0] * 4)
+    sys = ClosureSystem(space, [0, 0b0001, 0b0110, 0b1001, 0b1110, 0b1101,
+                                0b1011, 0b1111])
+    assert sys.first(lambda m: m in (0b0110, 0b1001)) == 0b1001
+    assert sys.first(lambda m: m.bit_count() == 3) == 0b1011
+    assert sys.first(lambda m: m in (0b1110, 0b1101)) == 0b1101
+    assert sys.first(lambda m: m in (0b1110, 0b0001)) == 0b0001
+    assert sys.first(lambda m: m > 0b1111) is None
+    assert "masks" not in vars(sys) and "index" not in vars(sys)
+
+
 def test_dump_format():
     text = dump_system(enumerate_closed(make_mo(2)))
     lines = text.splitlines()

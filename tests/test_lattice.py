@@ -171,3 +171,9 @@ def test_lattice_automorphisms_accept_an_explicit_family(mo2, mo2_sys):
     assert len(automorphisms(mo2, family, mode="lattice")) == 24
     with pytest.raises(CarrierMismatchError):
         automorphisms(mo2, enumerate_closed(make_mo(3)), mode="lattice")
+
+
+@pytest.mark.parametrize("bad", [(1.0, 0, 2, 3), (True, False, 2, 3)])
+def test_generators_must_be_int_permutations(mo2, mo2_sys, bad):
+    with pytest.raises(ValueError, match="not a permutation of 4 atoms"):
+        automorphisms(mo2, mo2_sys, mode="ortho", generators=[bad])

@@ -247,6 +247,24 @@ def test_covering_falls_back_where_a_join_is_not_a_member():
         Verdict(False, ([], 3, [0, 1]))
 
 
+@SETTINGS
+@given(families(), st.booleans(), st.randoms(use_true_random=False))
+def test_first_matches_the_canonical_scan(spec, close, rnd):
+    space, fam = spec
+    full = space.full
+    if close:
+        fam = list(pykernel.intersection_closure(fam, full))
+    masks = list(set(fam) | {0, full})
+    rnd.shuffle(masks)
+    sys = ClosureSystem(space, masks)
+    preds = [{m for m in masks if rnd.random() < density}.__contains__
+             for density in (0.0, 0.2, 0.5, 0.8)]
+    got = [sys.first(pred) for pred in preds]
+    assert "masks" not in vars(sys)
+    assert got == [next((m for m in sys.masks if pred(m)), None)
+                   for pred in preds]
+
+
 def test_order_core_is_lazy():
     sys = ClosureSystem(OrthoSpace(["a", "b"], [0b10, 0b01]),
                         [0, 0b01, 0b10, 0b11])

@@ -134,6 +134,28 @@ def test_check_axioms_validates_inputs(mo2, mo2_sys, pow3_sys, mo2_product):
             check_axioms(prod, mo2_sys, mo2_sys, [], [(0, 0, 1, 2)], psys)
 
 
+@pytest.mark.parametrize("bad", [(1.0, 0, 2, 3), (True, False, 2, 3),
+                                 ([0], [1], [2], [3])])
+def test_w_entries_must_be_int_atom_indices(mo2_sys, mo2_product, bad):
+    prod, psys = mo2_product
+    with pytest.raises(ValueError, match="W1 element is not a perm"):
+        check_axioms(prod, mo2_sys, mo2_sys, [bad], [], psys)
+    with pytest.raises(ValueError, match="not a bijection"):
+        lift_product_map(prod, bad, (0, 1, 2, 3))
+
+
+def test_check_axioms_leaves_the_product_order_unbuilt(mo2, mo2_sys):
+    W = list(automorphisms(mo2, mo2_sys, mode="ortho"))
+    base = sharp(mo2, mo2)
+    rows = list(base.rows)
+    rows[0] |= 1 << 5  # (a1,a1) ⊥ (a2,a2): P4 fails, so a witness is found
+    rows[5] |= 1 << 0
+    for prod in (base, ProductSpace(mo2, mo2, rows, "sharp+E")):
+        psys = enumerate_closed(prod)
+        check_axioms(prod, mo2_sys, mo2_sys, W, W, psys)
+        assert "masks" not in vars(psys) and "index" not in vars(psys)
+
+
 def test_inverse_closure_of_w_is_reported_per_side(mo2, mo2_sys, mo2_product):
     prod, psys = mo2_product
     cycle = (1, 2, 3, 0)
