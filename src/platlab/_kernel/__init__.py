@@ -3,7 +3,7 @@ bit-vectors, implemented in ``pykernel``.
 
 The package calls the kernel through the functions below.  They are defined
 here, not re-exported, so that the benchmark tracer (perfbench/tracer.py) can
-wrap them apart from ``pykernel``, which ``constructions`` calls directly.
+wrap them apart from ``pykernel``, which no module calls directly.
 """
 
 from . import pykernel

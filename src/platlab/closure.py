@@ -129,6 +129,9 @@ def biclosure(space, a: AtomSubset) -> AtomSubset:
 class ClosureSystem:
     """A fully enumerated intersection-closed family over one carrier.
 
+    The constructor closes its generators, masks within the carrier, under
+    intersection, Σ added; ∅ must be in the closure.  More than
+    ``DEFAULT_SET_LIMIT`` closed sets raise EnumerationLimitError.
     ``sets`` holds the closed sets, unordered; membership tests read it.
     ``masks``, the closed sets in canonical order (cardinality, then the
     ascending index tuple), and ``index``, which maps each one to its
@@ -149,20 +152,27 @@ class ClosureSystem:
     - ``covers(a, b)``: one ``up_set`` and one ``down_set``;
     - ``atoms()``: one ``up_set`` per atom;
     - ``coatoms()``: one ``up_set`` per closed set, O(n·|L|·w) in all;
-    - explicit ``join_mask(u)``: one ``up_set``, one AND per superset.
+    - explicit ``join_mask(u)``: one ``up_set``.
 
     The build costs one pass over the members of every closed set.
     """
 
-    def __init__(self, carrier, masks):
+    def __init__(self, carrier, generators):
         self.carrier = carrier
-        self.sets = frozenset(masks)
         self._of_relation = False  # set by _relation_system only
-        if (min(self.sets, default=0) < 0
-                or max(self.sets, default=0) > carrier.full):
+        gens = frozenset(generators)
+        # checked before closing: the kernel would cut a mask down to Σ
+        if min(gens, default=0) < 0 or max(gens, default=0) > carrier.full:
             raise ValueError("closure system has a set outside the carrier")
-        if 0 not in self.sets or carrier.full not in self.sets:
-            raise ValueError("closure system must contain ∅ and Σ")
+        try:
+            self.sets = frozenset(_kernel.intersection_closure(
+                gens, carrier.full, DEFAULT_SET_LIMIT))
+        except ValueError as exc:
+            raise EnumerationLimitError(
+                f"{exc}; raise the limit by setting "
+                "platlab.closure.DEFAULT_SET_LIMIT") from None
+        if 0 not in self.sets:
+            raise ValueError("closure system must contain ∅")
 
     @cached_property
     def _tie_key(self):
@@ -239,22 +249,20 @@ class ClosureSystem:
         return self.subset(self._operand(a) & self._operand(b))
 
     def join(self, a, b) -> AtomSubset:
-        j = self.join_mask(self._operand(a) | self._operand(b))
-        if j not in self.sets:
-            raise NotClosedError("join fell outside the system; "
-                                 "the family is not a closure system")
-        return self.subset(j)
+        return self.subset(self.join_mask(self._operand(a) | self._operand(b)))
 
     def is_system_of(self, space) -> bool:
         """True iff enumerate_closed/brute_force_closed built it from space."""
         return self._of_relation and _same_carrier(self.carrier, space)
 
     def join_mask(self, u: int) -> int:
-        """Meet of the members containing an arbitrary mask u; on an explicit
-        family, the polar over rows = masks of the index bitset up_set(u)."""
+        """The least member containing an arbitrary mask u: the biclosure
+        on a relation system; else the first member of up_set(u), as the
+        meet of the supersets is a member and the smallest of them."""
         if self._of_relation:
             return _kernel.biclosure(self.carrier.rows, u, self.carrier.full)
-        return _kernel.polar(self.masks, self.up_set(u), self.carrier.full)
+        up = self.up_set(u)
+        return self.masks[(up & -up).bit_length() - 1]
 
     @cached_property
     def _columns(self):
@@ -289,26 +297,17 @@ class ClosureSystem:
             rest ^= low
         return ((1 << len(self.masks)) - 1) ^ hit
 
-    def strictly_between(self, a: int, b: int) -> int:
-        """Index bitset of the closed c with a ⊊ c ⊊ b."""
-        between = self.up_set(a) & self.down_set(b)
-        for end in (a, b):
-            i = self.index.get(end)
-            if i is not None:
-                between &= ~(1 << i)
-        return between
-
     def covers(self, a, b) -> bool:
         """True iff b covers a: a ⊊ b with no closed set strictly between."""
         am, bm = self._operand(a), self._operand(b)
         if am & ~bm or am == bm:
             raise ValueError("covers() requires a ⊊ b")
-        return self.strictly_between(am, bm) == 0
+        return (self.up_set(am) & self.down_set(bm)).bit_count() == 2
 
     def atoms(self):
         """Minimal nonzero members in canonical order: the next is the first
         member outside ``above``, ∅ and the supersets of those found so far;
-        exact on any family, as smaller members come first."""
+        smaller members come first."""
         atoms = []
         above = 1  # masks[0] is ∅
         for i, m in enumerate(self.masks):
@@ -325,8 +324,7 @@ class ClosureSystem:
                 if m != full and self.up_set(m).bit_count() == 2]
 
 
-def enumerate_closed(space, max_atoms=None, max_sets=DEFAULT_SET_LIMIT
-                     ) -> ClosureSystem:
+def enumerate_closed(space, max_atoms=None) -> ClosureSystem:
     """Enumerate {a : a^⊥⊥ = a} as the intersection-closure of the polar
     rows plus Σ (valid because a^⊥ = ∩_{p∈a} p^⊥)."""
     limit = atom_limit() if max_atoms is None else max_atoms
@@ -334,12 +332,7 @@ def enumerate_closed(space, max_atoms=None, max_sets=DEFAULT_SET_LIMIT
         raise EnumerationLimitError(
             f"carrier has {space.size} atoms, enumeration limit is {limit}; "
             "raise it with PLAT_LIMIT_ATOMS or max_atoms=")
-    try:
-        masks = _kernel.intersection_closure(space.rows, space.full, max_sets)
-    except ValueError as exc:
-        raise EnumerationLimitError(
-            f"{exc}; raise the limit with max_sets=") from None
-    return _relation_system(space, masks)
+    return _relation_system(space, space.rows)
 
 
 def brute_force_closed(space, max_atoms=20) -> ClosureSystem:

@@ -99,26 +99,17 @@ def covering_property(sys: ClosureSystem) -> Verdict:
     On failure the witness is the minimal (a, p, intermediate c), with c the
     first in canonical order of the closed sets strictly between a and
     b = a ∨ p.  Every such c of least size is a ∨ r for each of its atoms
-    r ∉ a, so c is read off the joins a ∨ r, r ∈ b∖a: n − |a| joins per a.
-    That needs each a ∨ r ≠ b to be a member, as it is in any
-    intersection-closed family; for a family that is not, a pair (a, p)
-    with a non-member a ∨ r scans the order core instead.
+    r ∉ a, and every a ∨ r ≠ b with r ∈ b∖a is a member strictly between,
+    so c is read off the joins a ∨ r: n − |a| joins per a.
     """
     full, index = sys.carrier.full, sys.index
     for am in sys.masks:
         joins = {r: sys.join_mask(am | 1 << r) for r in ids(full ^ am)}
         for p, bm in joins.items():
             between = {joins[r] for r in ids(bm & ~am)} - {bm}
-            if not between:
-                continue
-            if between <= index.keys():
+            if between:
                 first = min(index[cm] for cm in between)
-            else:
-                found = sys.strictly_between(am, bm)
-                if not found:
-                    continue
-                first = (found & -found).bit_length() - 1
-            return Verdict(False, (ids(am), p, ids(sys.masks[first])))
+                return Verdict(False, (ids(am), p, ids(sys.masks[first])))
     return Verdict(True, None)
 
 
@@ -286,7 +277,8 @@ def find_orthocomplementation(sys: ClosureSystem,
 
     A family built by the ``ClosureSystem`` constructor, such as the tensor
     traces, is searched, and only then does ``max_elements`` limit the
-    closed sets: exhaustive backtracking over atom → coatom assignments.  An
+    closed sets: exhaustive backtracking over atom → coatom assignments,
+    a' being the meet of the coatoms assigned to the atoms below a.  An
     orthocomplementation of an atomistic lattice is determined by its
     restriction to the atoms, so None is exact there; on a lattice that is
     not atomistic the search can miss one.  Fast necessary filters run
@@ -324,12 +316,10 @@ def find_orthocomplementation(sys: ClosureSystem,
     def build_map():
         table = {}
         for m in sys.masks:
-            img = sys.carrier.full
+            img = sys.carrier.full  # a meet of members, so a member
             for a in atoms:
                 if a & ~m == 0:
                     img &= assign[a]
-            if img not in sys.sets:
-                return None
             table[m] = img
         for m, im in table.items():
             if table[im] != m or m & im != 0:

@@ -250,6 +250,18 @@ def _checked_inverse_closed(W, degree, name):
     return all(invert(u) in perms for u in perms)
 
 
+def _as_tuples(W, degree, name):
+    """W as a tuple of tuples; a non-iterable element is no permutation."""
+    out = []
+    for u in W:
+        try:
+            out.append(tuple(u))
+        except TypeError:
+            raise ValueError(f"{name} element is not a permutation of "
+                             f"{degree} atoms: {u!r}") from None
+    return tuple(out)
+
+
 def _inverse_closed(W, degree, name):
     """_checked_inverse_closed for any W: one that cannot be hashed holds
     an entry that is no atom index, and _validate_w raises on it."""
@@ -273,8 +285,8 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
     if not (L1sys.carrier == prod.left and L2sys.carrier == prod.right):
         raise CarrierMismatchError(
             "factor systems do not match the product factors")
-    W1 = tuple(tuple(u) for u in W1)
-    W2 = tuple(tuple(u) for u in W2)
+    W1 = _as_tuples(W1, prod.left.size, "W1")
+    W2 = _as_tuples(W2, prod.right.size, "W2")
     w1_inverse_closed = _inverse_closed(W1, prod.left.size, "W1")
     w2_inverse_closed = _inverse_closed(W2, prod.right.size, "W2")
     sys = prod_sys if prod_sys is not None else enumerate_closed(prod)

@@ -6,6 +6,7 @@ from platlab import (AtomSubset, ClosureSystem, OrthoSpace, biclosure,
                      brute_force_closed, dump_system, enumerate_closed,
                      make_mo, make_powerset_space, make_quadratic_line_space,
                      polar, sharp)
+from platlab import closure
 from platlab.bits import ids
 from platlab.closure import (CarrierMismatchError, EnumerationLimitError,
                              NotClosedError, atom_limit)
@@ -78,7 +79,12 @@ def test_closed_set_counts(space, count):
     sharp(make_powerset_space(2), make_powerset_space(2)),
 ])
 def test_enumeration_matches_brute_force(space):
-    assert enumerate_closed(space).masks == brute_force_closed(space).masks
+    brute = brute_force_closed(space)
+    assert enumerate_closed(space).masks == brute.masks
+    # the oracle's family is the biclosure fixpoints, however the
+    # constructor treats its input
+    assert brute.sets == {m for m in range(1 << space.size)
+                          if biclosure(space, AtomSubset(space, m)).bits == m}
 
 
 def test_lattice_operations():
@@ -117,15 +123,28 @@ def canonical_key(mask):
     return len(key), tuple(key)
 
 
+def oracle_closure(gens, full):
+    """The intersection closure of gens and full, by pairwise meets until
+    no new set appears."""
+    closed = set(gens) | {full}
+    new = set(closed)
+    while new:
+        new = {a & b for a in new for b in closed} - closed
+        closed |= new
+    return closed
+
+
 @st.composite
 def wide_families(draw):
-    """1-130 atoms, so masks cross byte boundaries and 64 bits; half the
-    sets have at most 4 atoms, so sets of one size often share a prefix."""
+    """1-130 atoms, so masks cross byte boundaries and 64 bits; up to 6
+    random sets, whose closure stays small, and up to 40 sets of at most 4
+    atoms, so sets of one size often share a prefix."""
     n = draw(st.integers(1, 130))
     full = (1 << n) - 1
     small = st.sets(st.integers(0, n - 1), max_size=4).map(
         lambda s: sum(1 << i for i in s))
-    return n, draw(st.lists(st.integers(0, full) | small, max_size=40))
+    return n, (draw(st.lists(st.integers(0, full), max_size=6))
+               + draw(st.lists(small, max_size=40)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -133,9 +152,9 @@ def wide_families(draw):
 def test_canonical_order_matches_the_index_tuple_key(spec):
     n, fam = spec
     space = OrthoSpace([f"x{i}" for i in range(n)], [0] * n)
-    masks = set(fam) | {0, space.full}
-    sys = ClosureSystem(space, masks)
-    assert sys.masks == sorted(masks, key=canonical_key)
+    sys = ClosureSystem(space, fam + [0])
+    assert sys.masks == sorted(oracle_closure(fam + [0], space.full),
+                               key=canonical_key)
 
 
 def test_closure_system_rejects_a_set_outside_the_carrier():
@@ -147,6 +166,26 @@ def test_closure_system_rejects_a_set_outside_the_carrier():
 def test_closure_system_rejects_a_negative_set():
     with pytest.raises(ValueError, match="outside the carrier"):
         ClosureSystem(make_mo(1), [0, -1, 3])
+
+
+def test_closure_system_needs_the_empty_set_in_the_closure():
+    space = OrthoSpace(["a", "b", "c"], [0] * 3)
+    with pytest.raises(ValueError, match="must contain ∅"):
+        ClosureSystem(space, [0b011, 0b110])
+    assert ClosureSystem(space, [0b011, 0b100]).masks == \
+        [0, 0b100, 0b011, 0b111]
+
+
+def test_set_limit_holds_for_relation_and_explicit_systems(monkeypatch):
+    monkeypatch.setattr(closure, "DEFAULT_SET_LIMIT", 100)
+    with pytest.raises(EnumerationLimitError, match="DEFAULT_SET_LIMIT"):
+        enumerate_closed(make_powerset_space(12))
+    space = OrthoSpace([f"x{i}" for i in range(8)], [0] * 8)
+    coatoms = [space.full ^ 1 << i for i in range(8)]
+    with pytest.raises(EnumerationLimitError, match="exceeded 100 sets"):
+        ClosureSystem(space, coatoms)  # all 256 subsets
+    assert len(ClosureSystem(space, coatoms[:6] + [0])) == 65
+    assert len(enumerate_closed(make_powerset_space(6))) == 64
 
 
 def test_first_breaks_ties_in_canonical_order():

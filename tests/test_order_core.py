@@ -3,13 +3,12 @@
 The ``old_*`` functions below are the scans ``ClosureSystem`` and
 ``platlab.lattice`` used before the order core, kept verbatim as oracles.
 They run on random symmetric, anti-reflexive relations of up to 10 atoms
-(checked against ``brute_force_closed`` too), on intersection-closures of
-random families built by the ``ClosureSystem`` constructor, and on
-arbitrary families that contain ∅ and Σ but need not be
-intersection-closed.  The atom walk of ``ClosureSystem.atoms`` is also
-checked against the ``down_set`` scan it replaced, on those families and on
-the tensor traces and MO_n × MO_m products, and the explicit join against
-the meet of the supersets.
+(checked against ``brute_force_closed`` too) and on the families the
+``ClosureSystem`` constructor closes from random generators (checked
+against a brute-force intersection closure).  The atom walk of
+``ClosureSystem.atoms`` is also checked against the ``down_set`` scan it
+replaced, on those families and on the tensor traces and MO_n × MO_m
+products, and the explicit join against the meet of the supersets.
 
 ``orthomodularity``, ``center`` and the polar table of
 ``find_orthocomplementation`` are checked on the same relations against
@@ -27,7 +26,6 @@ from hypothesis import strategies as st
 
 from platlab import ClosureSystem, OrthoSpace, brute_force_closed
 from platlab import enumerate_closed, make_mo, separated_product
-from platlab._kernel import pykernel
 from platlab.bits import ids
 from platlab.constructions import tensor_trace_lattice
 from platlab.lattice import (apply_perm_mask, automorphisms, center,
@@ -96,6 +94,12 @@ def old_covering_property(sys):
     return Verdict(True, None)
 
 
+def canonical_key(mask):
+    """Cardinality, then the ascending index tuple."""
+    key = ids(mask)
+    return len(key), tuple(key)
+
+
 # ---------------------------------------------------------- strategies
 
 @st.composite
@@ -122,10 +126,8 @@ def families(draw):
     return OrthoSpace([f"x{i}" for i in range(n)], [0] * n), fam
 
 
-def _explicit(space, fam, close):
-    full = space.full
-    masks = pykernel.intersection_closure(fam, full) if close else fam + [full]
-    return ClosureSystem(space, set(masks) | {0, full})
+def _explicit(space, fam):
+    return ClosureSystem(space, fam + [0])
 
 
 def _meet_of_supersets(gens, m, full):
@@ -178,36 +180,29 @@ def test_relation_systems_match_oracles(space, rnd):
 @given(families(), st.randoms(use_true_random=False))
 def test_intersection_closures_match_oracles(spec, rnd):
     space, fam = spec
-    sys = _explicit(space, fam, close=True)
+    sys = _explicit(space, fam)
     # the brute-force intersection closure: m is in it iff m is the meet
     # of the generators (and Σ) that contain it
     gens = set(fam) | {space.full}
     brute = [m for m in range(1 << space.size)
              if m == 0 or m == _meet_of_supersets(gens, m, space.full)]
-    assert sys.masks == ClosureSystem(space, brute).masks
+    assert sys.masks == sorted(brute, key=canonical_key)
     _agree_with_oracles(sys, rnd)
 
 
 @SETTINGS
-@given(families(), st.randoms(use_true_random=False))
-def test_arbitrary_families_match_oracles(spec, rnd):
+@given(families())
+def test_atom_walk_matches_the_down_set_scan(spec):
     space, fam = spec
-    _agree_with_oracles(_explicit(space, fam, close=False), rnd)
-
-
-@SETTINGS
-@given(families(), st.booleans())
-def test_atom_walk_matches_the_down_set_scan(spec, close):
-    space, fam = spec
-    sys = _explicit(space, fam, close)
+    sys = _explicit(space, fam)
     assert sys.atoms() == down_set_minimal_nonzero(sys)
 
 
 @SETTINGS
-@given(families(), st.booleans())
-def test_explicit_join_is_the_meet_of_the_supersets(spec, close):
+@given(families())
+def test_explicit_join_is_the_meet_of_the_supersets(spec):
     space, fam = spec
-    sys = _explicit(space, fam, close)
+    sys = _explicit(space, fam)
     for u in range(1 << space.size):
         assert sys.join_mask(u) == _meet_of_supersets(sys.masks, u,
                                                       space.full)
@@ -238,26 +233,23 @@ def test_atom_walk_matches_the_down_set_scan_on_mo_products(n, m):
     assert atoms == [1 << p for p in range(sys.carrier.size)]
 
 
-def test_covering_falls_back_where_a_join_is_not_a_member():
-    # not intersection-closed: ∅ ∨ r is {r}, not a member, for r = 0, 1, 2,
-    # so the first set strictly between ∅ and ∅ ∨ 3 = Σ is no atom join
+def test_constructor_closes_its_generators():
+    # the pairwise meets of {0,1}, {0,2} and {1,2} are the singletons, so
+    # ∅ ∨ r = {r} for r = 0, 1, 2 and the covering witness is an atom join
     space = OrthoSpace([f"x{i}" for i in range(4)], [0] * 4)
     sys = ClosureSystem(space, [0, 0b0011, 0b0101, 0b0110, 0b1111])
+    assert sys.masks == [0, 0b0001, 0b0010, 0b0100, 0b0011, 0b0101, 0b0110,
+                         0b1111]
     assert covering_property(sys) == old_covering_property(sys) == \
-        Verdict(False, ([], 3, [0, 1]))
+        Verdict(False, ([], 3, [0]))
 
 
 @SETTINGS
-@given(families(), st.booleans(), st.randoms(use_true_random=False))
-def test_first_matches_the_canonical_scan(spec, close, rnd):
-    space, fam = spec
-    full = space.full
-    if close:
-        fam = list(pykernel.intersection_closure(fam, full))
-    masks = list(set(fam) | {0, full})
-    rnd.shuffle(masks)
-    sys = ClosureSystem(space, masks)
-    preds = [{m for m in masks if rnd.random() < density}.__contains__
+@given(families(), st.randoms(use_true_random=False))
+def test_first_matches_the_canonical_scan(spec, rnd):
+    sys = _explicit(*spec)
+    preds = [{m for m in sorted(sys.sets)
+              if rnd.random() < density}.__contains__
              for density in (0.0, 0.2, 0.5, 0.8)]
     got = [sys.first(pred) for pred in preds]
     assert "masks" not in vars(sys)

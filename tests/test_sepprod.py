@@ -132,6 +132,10 @@ def test_check_axioms_validates_inputs(mo2, mo2_sys, pow3_sys, mo2_product):
             check_axioms(prod, mo2_sys, mo2_sys, [(0, 0, 1, 2)], [], psys)
         with pytest.raises(ValueError, match="W2 element is not a perm"):
             check_axioms(prod, mo2_sys, mo2_sys, [], [(0, 0, 1, 2)], psys)
+    # an element that is not iterable is no permutation either
+    with pytest.raises(ValueError, match="W1 element is not a permutation "
+                                         "of 4 atoms: 1"):
+        check_axioms(prod, mo2_sys, mo2_sys, [1, 2], [], psys)
 
 
 @pytest.mark.parametrize("bad", [(1.0, 0, 2, 3), (True, False, 2, 3),
