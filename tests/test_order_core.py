@@ -191,6 +191,20 @@ def test_intersection_closures_match_oracles(spec, rnd):
 
 
 @SETTINGS
+@given(families(), st.randoms(use_true_random=False))
+def test_arbitrary_families_match_oracles(spec, rnd):
+    # generators in any order and with repeats give the system of their
+    # closure, which the constructor returns unchanged when given it back
+    space, fam = spec
+    gens = fam + [0] + rnd.sample(fam, len(fam) // 2)
+    rnd.shuffle(gens)
+    sys = ClosureSystem(space, gens)
+    assert sys.sets == _explicit(space, fam).sets
+    assert ClosureSystem(space, sys.masks).masks == sys.masks
+    _agree_with_oracles(sys, rnd)
+
+
+@SETTINGS
 @given(families())
 def test_atom_walk_matches_the_down_set_scan(spec):
     space, fam = spec
