@@ -2,10 +2,16 @@
 suites, fixture regeneration, and the relation search.
 
 Exit codes: 0 all checks pass, 1 a verified violation of an expected
-property, 2 usage or configuration error.  ``check`` and ``search`` are
-report commands and exit 0 whatever they find: failing axioms are the
-expected answer for the counterexample relations.  Reports are
-byte-deterministic for a given seed; wall times go to stderr only.
+property, 2 bad input or a hit limit.  Exit 2 is decided in one place,
+the ``main`` group: a ValueError from a command (the package's limit,
+format and carrier errors, a bad argument, undecodable JSON or text) or
+an OSError (a file that cannot be read or written) ends the run with one
+"Error:" line.  Any other exception, such as TypeError, KeyError or
+AssertionError, is a bug and keeps its traceback.  ``check`` and
+``search`` are report commands and exit 0 whatever they find: failing
+axioms are the expected answer for the counterexample relations.
+Reports are byte-deterministic for a given seed; wall times go to stderr
+only.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from . import lattice as lat
 from . import sepprod as sp
 from .bits import rect
 from .closure import (brute_force_closed, dump_system, enumerate_closed,
-                      AtomSubset, EnumerationLimitError, biclosure, polar)
+                      AtomSubset, biclosure, polar)
 from .orthospace import (_separating, dump_space, load_space, make_mo,
                          make_powerset_space, make_quadratic_line_space)
 
@@ -42,7 +48,20 @@ def _emit(doc, out):
     _write(json.dumps(doc, indent=2) + "\n", out)
 
 
-@click.group()
+class _Plat(click.Group):
+    """The exit-2 boundary of the module docstring: a command's ValueError
+    or OSError becomes one "Error:" line; anything else propagates."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # a closed reader, not bad input: click exits 1 quietly
+        except (ValueError, OSError) as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Plat)
 def main():
     """Finite property-lattice laboratory."""
 
@@ -59,11 +78,7 @@ def space():
 @click.option("-o", "--out", type=click.Path(), default=None)
 def mo(n, out):
     """MO_n: 2n atoms in n orthogonal pairs."""
-    try:
-        s = make_mo(n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _write(dump_space(s) + "\n", out)
+    _write(dump_space(make_mo(n)) + "\n", out)
 
 
 @space.command()
@@ -71,11 +86,7 @@ def mo(n, out):
 @click.option("-o", "--out", type=click.Path(), default=None)
 def powerset(n, out):
     """n atoms, all distinct pairs orthogonal (Boolean closure system)."""
-    try:
-        s = make_powerset_space(n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _write(dump_space(s) + "\n", out)
+    _write(dump_space(make_powerset_space(n)) + "\n", out)
 
 
 @space.command()
@@ -84,11 +95,7 @@ def powerset(n, out):
 @click.option("-o", "--out", type=click.Path(), default=None)
 def quad(q, lam, out):
     """Anisotropic quadratic line geometry over GF(q)."""
-    try:
-        s = make_quadratic_line_space(q, lam)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _write(dump_space(s) + "\n", out)
+    _write(dump_space(make_quadratic_line_space(q, lam)) + "\n", out)
 
 
 # --------------------------------------------------------------- product
@@ -101,17 +108,10 @@ def quad(q, lam, out):
 def product(left, right, do_enum, out):
     """Separated product of two space files; --enumerate dumps the
     closure system in the .clos.txt format."""
-    try:
-        l = load_space(Path(left).read_text())
-        r = load_space(Path(right).read_text())
-        prod = sp.sharp(l, r)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    prod = sp.sharp(load_space(Path(left).read_text()),
+                    load_space(Path(right).read_text()))
     if do_enum:
-        try:
-            text = dump_system(enumerate_closed(prod))
-        except EnumerationLimitError as exc:
-            raise click.UsageError(str(exc))
+        text = dump_system(enumerate_closed(prod))
     else:
         pairs = [[p, q] for p in range(prod.size)
                  for q in range(p + 1, prod.size) if prod.orth(p, q)]
@@ -141,17 +141,13 @@ def check(relation, w1, w2, out):
             rows[p] |= 1 << q
             rows[q] |= 1 << p
         prod = sp.ProductSpace(left, right, rows, "candidate")
-    except (KeyError, TypeError, ValueError,
-            json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad relation document: {exc}")
-    try:
-        L1sys = enumerate_closed(left)
-        L2sys = enumerate_closed(right)
-        W1 = _load_w(w1, "W1", left, L1sys)
-        W2 = _load_w(w2, "W2", right, L2sys)
-        report = sp.check_axioms(prod, L1sys, L2sys, W1, W2)
-    except EnumerationLimitError as exc:
-        raise click.UsageError(str(exc))
+    L1sys = enumerate_closed(left)
+    L2sys = enumerate_closed(right)
+    W1 = _load_w(w1, "W1", left, L1sys)
+    W2 = _load_w(w2, "W2", right, L2sys)
+    report = sp.check_axioms(prod, L1sys, L2sys, W1, W2)
     _emit(report.to_json(), out)
 
 
@@ -489,7 +485,7 @@ SUITES = {
 def run_verify_suite(suite: str, config: dict) -> dict:
     """Run one verification suite; returns the JSON-shaped report."""
     if suite not in SUITES:
-        raise click.UsageError(f"unknown suite: {suite}")
+        raise ValueError(f"unknown suite: {suite}")
     t0 = time.monotonic()
     checks = SUITES[suite](config)
     elapsed = time.monotonic() - t0
@@ -517,10 +513,7 @@ def run_verify_suite(suite: str, config: dict) -> dict:
 def verify(suite_name, trials, seed, q, lam, out):
     """Run a verification suite and write its JSON report."""
     config = {"seed": seed, "trials": trials, "q": q, "lam": lam}
-    try:
-        report = run_verify_suite(suite_name, config)
-    except ValueError as exc:   # bad --q/--lam/--trials, or a limit hit
-        raise click.UsageError(str(exc))
+    report = run_verify_suite(suite_name, config)
     _emit(report, out)
     for c in report["checks"]:
         status = "pass" if c["pass"] else "FAIL"
@@ -535,7 +528,7 @@ def run_search(budget: int, seed: int, factor_n: int = 2) -> dict:
     separating P1-P4 relation whose closed-set family differs from the
     separated product's."""
     if budget < 1:
-        raise click.UsageError("budget must be >= 1")
+        raise ValueError("budget must be >= 1")
     mo = make_mo(factor_n)
     msys = enumerate_closed(mo)
     W = list(lat.automorphisms(mo, msys, mode="ortho"))

@@ -18,7 +18,8 @@ from ._kernel import pykernel  # noqa: F401
 from .bits import ids, rect
 from .closure import ClosureSystem, EnumerationLimitError
 from .gf import field
-from .lattice import apply_perm_mask, find_orthocomplementation, invert
+from .lattice import (apply_perm_mask, find_orthocomplementation, invert,
+                      is_permutation)
 from .orthospace import OrthoSpace, _row_defect, make_mo, \
     make_quadratic_line_space, projective_line_points
 from .sepprod import ProductSpace, separated_product
@@ -112,8 +113,9 @@ class PairingData:
         seen = set()
         for block in self.partition:
             for a in block:
-                if not 0 <= a < prod.left.size:
-                    raise ValueError(f"partition atom out of range: {a}")
+                if type(a) is not int or not 0 <= a < prod.left.size:
+                    raise ValueError(
+                        f"partition atom is not a factor atom: {a!r}")
                 if a in seen:
                     raise ValueError(f"partition blocks overlap at atom {a}")
                 seen.add(a)
@@ -125,8 +127,9 @@ class PairingData:
             if len(set(g.values())) != len(g):
                 raise ValueError("map is not injective on its block")
             for a, target in g.items():
-                if not 0 <= target < prod.size:
-                    raise ValueError(f"map target out of range: {target}")
+                if type(target) is not int or not 0 <= target < prod.size:
+                    raise ValueError(
+                        f"map target is not a product atom: {target!r}")
                 diag = prod.encode(a, a)
                 if prod.sharp_row(diag) >> target & 1:
                     raise ValueError(
@@ -174,7 +177,7 @@ class FactorBijection:
 
     def validate(self, space: OrthoSpace):
         f = self.perm
-        if sorted(f) != list(range(space.size)):
+        if not is_permutation(f, space.size):
             raise ValueError(f"not a permutation of {space.size} atoms")
         if f == tuple(range(space.size)):
             raise ValueError("twisting map must not be the identity")

@@ -1,9 +1,10 @@
 """Table-driven arithmetic for small finite fields GF(p^k).
 
-Elements are ints in [0, q).  For prime fields the encoding is the obvious
-one; for prime powers an element encodes the coefficient vector of a
-polynomial over GF(p) in base p, reduced modulo a fixed irreducible monic
-polynomial found by scan.  Intended for tiny q only.
+Elements are ints in [0, q): the base-p digits of an element are the k
+coefficients, lowest first, of a polynomial over GF(p) reduced modulo a
+fixed monic x^k + tail, the first in the order of the tail's code whose
+product table has no zero divisors.  For k = 1 that is x, so GF(p) is
+the integers mod p.  Intended for tiny q only.
 """
 
 from functools import lru_cache
@@ -29,21 +30,51 @@ def _factor_prime_power(q):
     return p, k
 
 
+def _encode(coeffs, p):
+    """The element whose base-p digits, lowest first, are ``coeffs``."""
+    return sum(c * p ** i for i, c in enumerate(coeffs))
+
+
+def _mul_table(vecs, add, tail, p):
+    """Products of the coefficient vectors ``vecs`` modulo x^k + tail, by
+    Horner's rule on the digits of the left factor, or None at the first
+    zero product of two nonzero elements."""
+    # x·v shifts v up one degree, and x^k ≡ -tail
+    times_x = [_encode([(y - v[-1] * t) % p
+                        for y, t in zip([0] + v[:-1], tail)], p)
+               for v in vecs]
+    scaled = [[_encode([c * y % p for y in v], p) for v in vecs]
+              for c in range(p)]
+    table = []
+    for a, u in enumerate(vecs):
+        row = []
+        for b in range(len(vecs)):
+            c = 0
+            for d in reversed(u):
+                c = add[times_x[c]][scaled[d][b]]
+            if c == 0 and a and b:
+                return None
+            row.append(c)
+        table.append(row)
+    return table
+
+
 class GF:
     """Finite field with q elements; add/mul/inverse via precomputed tables."""
 
     def __init__(self, q):
         self.q = q
         self.p, self.k = _factor_prime_power(q)
-        if self.k == 1:
-            self._add = [[(a + b) % q for b in range(q)] for a in range(q)]
-            self._mul = [[(a * b) % q for b in range(q)] for a in range(q)]
-        else:
-            modulus = self._find_irreducible()
-            self._add = [[self._poly_add(a, b) for b in range(q)]
-                         for a in range(q)]
-            self._mul = [[self._poly_mul_mod(a, b, modulus) for b in range(q)]
-                         for a in range(q)]
+        p, k = self.p, self.k
+        vecs = [[a // p ** i % p for i in range(k)] for a in range(q)]
+        self._add = [[_encode([(x + y) % p for x, y in zip(u, v)], p)
+                      for v in vecs] for u in vecs]
+        # the first monic x^k + tail with no zero divisors: the quotient
+        # ring is then a field, so the modulus is irreducible
+        tail = 0
+        while (mul := _mul_table(vecs, self._add, vecs[tail], p)) is None:
+            tail += 1
+        self._mul = mul
         self._neg = [0] * q
         self._inv = [0] * q
         for a in range(q):
@@ -54,88 +85,6 @@ class GF:
                     self._inv[a] = b
         self.nonzero = list(range(1, q))
         self.squares = sorted({self._mul[a][a] for a in self.nonzero})
-
-    # -- polynomial helpers for prime-power fields (coefficients base p) --
-
-    def _coeffs(self, a):
-        p = self.p
-        out = []
-        while a:
-            out.append(a % p)
-            a //= p
-        return out
-
-    def _encode(self, coeffs):
-        out = 0
-        for c in reversed(coeffs):
-            out = out * self.p + c
-        return out
-
-    def _poly_add(self, a, b):
-        p = self.p
-        ca, cb = self._coeffs(a), self._coeffs(b)
-        n = max(len(ca), len(cb))
-        ca += [0] * (n - len(ca))
-        cb += [0] * (n - len(cb))
-        return self._encode([(x + y) % p for x, y in zip(ca, cb)])
-
-    def _poly_mul_mod(self, a, b, modulus):
-        p = self.p
-        ca, cb = self._coeffs(a), self._coeffs(b)
-        prod = [0] * (len(ca) + len(cb))
-        for i, x in enumerate(ca):
-            for j, y in enumerate(cb):
-                prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the monic irreducible of degree k
-        deg = self.k
-        # low-to-high incl. leading 1; _coeffs drops high zero coefficients
-        mod = self._coeffs(modulus)
-        mod += [0] * (deg - len(mod)) + [1]
-        for i in range(len(prod) - 1, deg - 1, -1):
-            c = prod[i]
-            if c:
-                for j in range(deg + 1):
-                    prod[i - deg + j] = (prod[i - deg + j] - c * mod[j]) % p
-        return self._encode(prod[:deg])
-
-    def _find_irreducible(self):
-        """Monic irreducible of degree k over GF(p), encoded without the
-        leading coefficient (low k coefficients, base p)."""
-        p, k = self.p, self.k
-        for tail in range(p ** k):
-            if self._is_irreducible(tail):
-                return tail
-        raise AssertionError("no irreducible polynomial found")
-
-    def _is_irreducible(self, tail):
-        p, k = self.p, self.k
-        coeffs = self._coeffs(tail) + [0] * (k - len(self._coeffs(tail))) + [1]
-        # no roots is enough for k <= 3; also reject reducible quartics by
-        # trial division with monic quadratics
-        for x in range(p):
-            v = 0
-            for c in reversed(coeffs):
-                v = (v * x + c) % p
-            if v == 0:
-                return False
-        if k >= 4:
-            for d in range(2, k // 2 + 1):
-                for divisor_tail in range(p ** d):
-                    if self._poly_divides(divisor_tail, d, coeffs):
-                        return False
-        return True
-
-    def _poly_divides(self, divisor_tail, d, coeffs):
-        p = self.p
-        div = self._coeffs(divisor_tail)
-        div += [0] * (d - len(div)) + [1]
-        rem = list(coeffs)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c:
-                for j in range(d + 1):
-                    rem[i - d + j] = (rem[i - d + j] - c * div[j]) % p
-        return not any(rem[:d])
 
     # -- field API --
 

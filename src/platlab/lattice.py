@@ -204,13 +204,13 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
 
     rows = space.rows
 
-    # profile pruning: atoms may only map to atoms with the same closed-set
-    # membership signature (and polar degree in ortho mode)
+    # profile pruning: atoms may only map to atoms with the same polar
+    # degree in ortho mode, the same closed-set membership signature in
+    # lattice mode
     def profile(p):
-        sizes = sorted(m.bit_count() for m in sys.sets if m >> p & 1)
         if mode == "ortho":
-            return rows[p].bit_count(), tuple(sizes)
-        return tuple(sizes)
+            return rows[p].bit_count()
+        return tuple(sorted(m.bit_count() for m in sys.sets if m >> p & 1))
 
     profs = [profile(p) for p in range(n)]
     # lattice mode: the closed sets whose highest atom is k are mapped, and
@@ -281,9 +281,8 @@ def find_orthocomplementation(sys: ClosureSystem,
     a' being the meet of the coatoms assigned to the atoms below a.  An
     orthocomplementation of an atomistic lattice is determined by its
     restriction to the atoms, so None is exact there; on a lattice that is
-    not atomistic the search can miss one.  Fast necessary filters run
-    first: atom and coatom counts must match and the down-degree profile
-    must equal the up-degree profile.
+    not atomistic the search can miss one.  A fast necessary filter runs
+    first: the atom and coatom counts must match.
     """
     carrier = sys.carrier
     if sys.is_system_of(carrier):
@@ -296,10 +295,6 @@ def find_orthocomplementation(sys: ClosureSystem,
     atoms = sys.atoms()
     coatoms = sys.coatoms()
     if len(atoms) != len(coatoms):
-        return None
-    down = sorted(sys.down_set(m).bit_count() for m in sys.masks)
-    up = sorted(sys.up_set(m).bit_count() for m in sys.masks)
-    if down != up:
         return None
 
     assign = {}

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from platlab import Verdict, dump_space, make_mo, sharp
+from platlab import cli as cli_module
 from platlab import sepprod as sp_module
 from platlab.cli import main, regenerate_fixtures, run_search, run_verify_suite
 
@@ -249,3 +250,39 @@ def test_check_rejects_a_float_in_w(tmp_path):
     _usage_error(res, "bad --w1 file", "not a permutation")
     assert sum(line.startswith("Error:")
                for line in res.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["search", "--budget", "1", "--factor-n", "0"],   # empty orthospace
+    ["search", "--budget", "1", "--factor-n", "9"],   # automorphism limit
+    ["space", "mo", "--n", "2", "-o", "{tmp}/missing/x.json"],
+    ["verify", "--suite", "closure", "-o", "{tmp}/missing/x.json"],
+    ["fixtures", "--regen", "--dir", "{tmp}/file/sub"],
+])
+def test_value_and_os_errors_exit_2(args, tmp_path):
+    (tmp_path / "file").write_text("")
+    res = invoke(*(a.format(tmp=tmp_path) for a in args))
+    _usage_error(res)
+    assert sum(line.startswith("Error:")
+               for line in res.output.splitlines()) == 1
+
+
+def test_other_errors_keep_their_traceback(monkeypatch):
+    bug = RuntimeError("a bug, not bad input")
+
+    def broken_search(*args):
+        raise bug
+
+    monkeypatch.setattr(cli_module, "run_search", broken_search)
+    res = invoke("search", "--budget", "1")
+    assert res.exception is bug
+
+
+def test_broken_pipe_is_not_a_usage_error(monkeypatch):
+    def closed_reader(*args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli_module, "_emit", closed_reader)
+    res = invoke("search", "--budget", "1")
+    assert res.exit_code == 1
+    assert "Error:" not in res.output

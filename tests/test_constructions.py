@@ -113,6 +113,15 @@ def test_pairing_data_validation(setup, mo2):
         # (a1,a1)^# contains column/row mates of its coordinates
         PairingData(((0,), (1,), (2,), (3,)),
                     ({0: 1}, {1: 15}, {2: 0}, {3: 5})).validate(prod)
+    # an index is an int: a float or a bool equal to one is refused
+    for part in (((0,), (1,), (2,), (3.0,)), ((0,), (True,), (2,), (3,))):
+        with pytest.raises(ValueError, match="not a factor atom"):
+            PairingData(part, ({0: 10}, {1: 15}, {2: 0}, {3: 5})
+                        ).validate(prod)
+    for target in (10.0, True):
+        with pytest.raises(ValueError, match="not a product atom"):
+            PairingData(((0,), (1,), (2,), (3,)),
+                        ({0: target}, {1: 15}, {2: 0}, {3: 5})).validate(prod)
     good = PairingData(((0,), (1,), (2,), (3,)),
                        ({0: 10}, {1: 15}, {2: 0}, {3: 5}))
     good.validate(prod)
@@ -125,6 +134,9 @@ def test_pairing_data_round_trip(setup):
            "maps": [{"0": 10}, {"1": 15}, {"2": 0}, {"3": 5}]}
     data = PairingData.from_json(doc)
     data.validate(prod)
+    doc["maps"][0] = {"0": 10.0}
+    with pytest.raises(ValueError, match="not a product atom: 10.0"):
+        PairingData.from_json(doc).validate(prod)
 
 
 def test_perp4_builds_and_reports(setup, mo2_sys):
@@ -148,8 +160,10 @@ def test_factor_bijection_validation(mo2):
         FactorBijection((0, 1, 2, 3)).validate(mo2)
     with pytest.raises(ValueError, match="own polar"):
         FactorBijection((1, 0, 3, 2)).validate(mo2)
-    with pytest.raises(ValueError, match="not a permutation"):
-        FactorBijection((0, 0, 1, 2)).validate(mo2)
+    # (2, 3, 0, True) sorts equal to 0..3, but True is not an atom index
+    for perm in ((0, 0, 1, 2), (2.0, 3, 0, 1), (2, 3, 0, True)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            FactorBijection(perm).validate(mo2)
     mo_pair_swap_bijection(2)  # validates internally
     with pytest.raises(ValueError, match="n >= 2"):
         mo_pair_swap_bijection(1)
