@@ -529,6 +529,12 @@ def run_search(budget: int, seed: int, factor_n: int = 2) -> dict:
     separated product's."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    # MO_n has 2n atoms, and the ortho automorphism search below is limited
+    # to AUTOMORPHISM_SEARCH_LIMIT of them
+    most = lat.AUTOMORPHISM_SEARCH_LIMIT // 2
+    if not 1 <= factor_n <= most:
+        raise ValueError(f"--factor-n must be between 1 and {most}, "
+                         f"got {factor_n}")
     mo = make_mo(factor_n)
     msys = enumerate_closed(mo)
     W = list(lat.automorphisms(mo, msys, mode="ortho"))

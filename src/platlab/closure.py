@@ -126,6 +126,23 @@ def biclosure(space, a: AtomSubset) -> AtomSubset:
     return polar(space, polar(space, a))
 
 
+def _tie_key(carrier):
+    # canonical order within one size: a precedes b iff the lowest atom of
+    # a ^ b is in a, so compare the complements read from atom 0 up
+    # (bit-reversed little-endian bytes)
+    full, width = carrier.full, (carrier.size + 7) // 8
+    return lambda m: (full ^ m).to_bytes(width, "little").translate(
+        REVERSED_BYTES)
+
+
+def canonical_order(carrier, sets):
+    """Masks on ``carrier`` sorted in canonical order: by cardinality, then
+    by the ascending index tuple."""
+    masks = sorted(sets, key=_tie_key(carrier))
+    masks.sort(key=int.bit_count)  # stable: ties keep the order above
+    return masks
+
+
 class ClosureSystem:
     """A fully enumerated intersection-closed family over one carrier.
 
@@ -175,19 +192,8 @@ class ClosureSystem:
             raise ValueError("closure system must contain ∅")
 
     @cached_property
-    def _tie_key(self):
-        # canonical order within one size: a precedes b iff the lowest atom
-        # of a ^ b is in a, so compare the complements read from atom 0 up
-        # (bit-reversed little-endian bytes)
-        full, width = self.carrier.full, (self.carrier.size + 7) // 8
-        return lambda m: (full ^ m).to_bytes(width, "little").translate(
-            REVERSED_BYTES)
-
-    @cached_property
     def masks(self):
-        masks = sorted(self.sets, key=self._tie_key)
-        masks.sort(key=int.bit_count)  # stable: ties keep the order above
-        return masks
+        return canonical_order(self.carrier, self.sets)
 
     @cached_property
     def index(self):
@@ -218,7 +224,8 @@ class ClosureSystem:
                     if m & -m <= low and pred(m):
                         hits.append(m)
                         low = m & -m
-                return hit if len(hits) == 1 else min(hits, key=self._tie_key)
+                return hit if len(hits) == 1 else min(
+                    hits, key=_tie_key(self.carrier))
             start = end
         return None
 

@@ -151,8 +151,34 @@ def _row_defect(rows):
     return None
 
 
+def _orthogonal(rows) -> bool:
+    """True iff ``_row_defect(rows)`` is None, in one pass: no bit at n and
+    above, every bit above the diagonal mirrored below it, and twice as many
+    bits in all as above the diagonal.  The mirrors make the bits below at
+    least as many as those above, so the count leaves no room for a bit on
+    the diagonal or for one below it that is not a mirror."""
+    n = len(rows)
+    bits = above = 0
+    for p, row in enumerate(rows):
+        if row >> n:
+            return False
+        bits += row.bit_count()
+        up = row >> (p + 1) << (p + 1)
+        above += up.bit_count()
+        bit = 1 << p
+        while up:
+            low = up & -up
+            if not rows[low.bit_length() - 1] & bit:
+                return False
+            up ^= low
+    return bits == 2 * above
+
+
 def _require_orthogonality(rows, what: str):
-    """Raise ValueError naming ``what`` at the first defect of _row_defect."""
+    """Raise ValueError naming ``what`` at the first defect of _row_defect;
+    only rows that fail the one-pass _orthogonal are scanned for it."""
+    if _orthogonal(rows):
+        return
     defect = _row_defect(rows)
     if defect is not None:
         p, q = defect

@@ -16,7 +16,7 @@ from functools import lru_cache
 from . import _kernel
 from .bits import ids, rect
 from .closure import (AtomSubset, CarrierMismatchError, ClosureSystem,
-                      enumerate_closed)
+                      canonical_order, enumerate_closed)
 from .lattice import (_require_own_system, apply_perm_mask, automorphisms,
                       invert, is_permutation)
 from .orthospace import (OrthoSpace, Verdict, _require_orthogonality,
@@ -78,12 +78,19 @@ class ProductSpace:
                 f"{self.relation_name})")
 
 
-def sharp(left: OrthoSpace, right: OrthoSpace) -> ProductSpace:
-    """The product space under #: p#q iff p₁⊥q₁ or p₂⊥q₂."""
+@lru_cache(maxsize=64)
+def _sharp_rows(left: OrthoSpace, right: OrthoSpace):
+    """The # row of every product atom, as sharp_row gives it, once per
+    pair of factor spaces (keyed by their labels and rows)."""
     n2 = right.size
     c1 = [rect(row, right.full, n2) for row in left.rows]
     c2 = [rect(left.full, row, n2) for row in right.rows]
-    return ProductSpace(left, right, [a | b for a in c1 for b in c2], "sharp")
+    return tuple(a | b for a in c1 for b in c2)
+
+
+def sharp(left: OrthoSpace, right: OrthoSpace) -> ProductSpace:
+    """The product space under #: p#q iff p₁⊥q₁ or p₂⊥q₂."""
+    return ProductSpace(left, right, _sharp_rows(left, right), "sharp")
 
 
 def separated_product(left: OrthoSpace, right: OrthoSpace):
@@ -142,18 +149,32 @@ class AxiomReport:
         }
 
 
+@lru_cache(maxsize=64)
+def _cylinder_unions(left, right, sets1, sets2):
+    """(a₁×Σ₂ ∪ Σ₁×a₂, a₁, a₂) for the closed a₁, a₂ of the factor
+    families, in L1.masks × L2.masks order; once per pair of factor spaces
+    and pair of factor ``sets``."""
+    n2 = right.size
+    c1 = [(rect(a1, right.full, n2), a1)
+          for a1 in canonical_order(left, sets1)]
+    c2 = [(rect(left.full, a2, n2), a2)
+          for a2 in canonical_order(right, sets2)]
+    return tuple((u1 | u2, a1, a2) for u1, a1 in c1 for u2, a2 in c2)
+
+
 def _check_p2_cylinders(prod, sys, L1sys, L2sys) -> Verdict:
-    for a1 in L1sys.masks:
-        for a2 in L2sys.masks:
-            u = prod.cylinder1(a1) | prod.cylinder2(a2)
-            if u not in sys.sets:
-                return Verdict(False, {"a1": ids(a1), "a2": ids(a2)})
+    sets = sys.sets
+    for u, a1, a2 in _cylinder_unions(prod.left, prod.right, L1sys.sets,
+                                      L2sys.sets):
+        if u not in sets:
+            return Verdict(False, {"a1": ids(a1), "a2": ids(a2)})
     return Verdict(True, None)
 
 
 def _check_p2_coatoms(prod, sys) -> Verdict:
-    for p in range(prod.size):
-        if prod.sharp_row(p) not in sys.sets:
+    sets = sys.sets
+    for p, row in enumerate(_sharp_rows(prod.left, prod.right)):
+        if row not in sets:
             return Verdict(False, {"atom": p})
     return Verdict(True, None)
 
@@ -182,21 +203,36 @@ def _check_p3(prod, sys, L1sys, L2sys) -> Verdict:
     return Verdict(False, {"side": side, "set": ids(a)})
 
 
-def _lifts(prod, W1, W2):
-    """(u₁, u₂, lifted permutation) for each pair of W₁ × W₂ in order, but
-    the identity lift, which fixes every set and every row."""
-    id1, id2 = tuple(range(prod.left.size)), tuple(range(prod.right.size))
+@lru_cache(maxsize=64)
+def _lift_table(W1, W2, n1, n2):
+    """(u₁, u₂, lifted permutation, image bit of each atom) for each pair
+    of W₁ × W₂ in order, but the identity lift, which fixes every set and
+    every row; once per (W₁, W₂, n₁, n₂), W a tuple of tuples."""
+    id1, id2 = tuple(range(n1)), tuple(range(n2))
+    bits = [1 << q for q in range(n1 * n2)]
+    table = []
     for u1 in W1:
         for u2 in W2:
             if u1 != id1 or u2 != id2:
-                yield u1, u2, _lift(u1, u2, prod.right.size)
+                perm = _lift(u1, u2, n2)
+                table.append((u1, u2, perm, tuple(bits[q] for q in perm)))
+    return tuple(table)
 
 
 def _check_p4(prod, sys, W1, W2) -> Verdict:
-    sets = sys.sets
-    for u1, u2, perm in _lifts(prod, W1, W2):
-        images = [1 << q for q in perm]
+    """Does every lift of W₁ × W₂ keep the closed sets?  The first lift in
+    order that moves a set out fails, with the canonical-first such set.
 
+    ``sys`` must be prod's relation system (check_axioms enforces it, and
+    _first_failing_axiom builds it): its members are Σ and the meets of the
+    polar rows, and a lift keeps Σ and meets, so it keeps the family iff it
+    maps every row p^⊥ into ``sys.sets``.  Each lift is decided on the n
+    rows; ``first`` scans the family only on the lift that moves a row out,
+    to pick the witness.  The lifts come from the cached lift table.
+    """
+    sets = sys.sets
+    for u1, u2, _, images in _lift_table(tuple(W1), tuple(W2),
+                                         prod.left.size, prod.right.size):
         def moved_out(m):  # apply_perm_mask inlined: one call per set
             image = 0
             while m:
@@ -205,16 +241,16 @@ def _check_p4(prod, sys, W1, W2) -> Verdict:
                 m ^= low
             return image not in sets
 
-        m = sys.first(moved_out)
-        if m is not None:
+        if any(map(moved_out, prod.rows)):
+            m = sys.first(moved_out)
             return Verdict(False, {"u1": list(u1), "u2": list(u2),
                                    "set": ids(m)})
     return Verdict(True, None)
 
 
 def _check_p5(prod) -> Verdict:
-    for p in range(prod.size):
-        missing = prod.sharp_row(p) & ~prod.rows[p]
+    for p, row in enumerate(_sharp_rows(prod.left, prod.right)):
+        missing = row & ~prod.rows[p]
         if missing:
             q = (missing & -missing).bit_length() - 1
             return Verdict(False, {"p": p, "q": q})
@@ -224,9 +260,11 @@ def _check_p5(prod) -> Verdict:
 def _check_lifts_commute(prod, W1, W2) -> Verdict:
     """Does every lifted pair (u₁, u₂) commute with the polarity on atoms?
     P4* is P4 plus this."""
-    for u1, u2, perm in _lifts(prod, W1, W2):
-        for p in range(prod.size):
-            if apply_perm_mask(perm, prod.rows[p]) != prod.rows[perm[p]]:
+    rows = prod.rows
+    for u1, u2, perm, _ in _lift_table(tuple(W1), tuple(W2),
+                                       prod.left.size, prod.right.size):
+        for p, q in enumerate(perm):
+            if apply_perm_mask(perm, rows[p]) != rows[q]:
                 return Verdict(False, {"u1": list(u1), "u2": list(u2),
                                        "atom": p})
     return Verdict(True, None)
@@ -281,6 +319,15 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
     completeness.  P2 is computed both from cylinder unions and from the #
     coatoms; the two verdicts are cross-checked.  P4/P4* are reported as
     vacuous when either W is empty.  A ``prod_sys`` must be prod's own.
+
+    P4 is decided per lift on the n polar rows, and ``first`` scans the
+    closed sets only on the failing lift, for its witness (see _check_p4).
+    The tables that depend on the factors alone are cached by value: the #
+    rows by the two factor spaces, the P2 cylinder unions by the factor
+    spaces and the factor ``sets``, and the lift table shared by P4 and P4*
+    by the W tuples and the factor sizes.  Deciding P4 on generators of
+    W₁ × W₂ would save only where P4 holds; on the perturbation sweep
+    every relation fails it, so the ordered scan runs anyway.
     """
     if not (L1sys.carrier == prod.left and L2sys.carrier == prod.right):
         raise CarrierMismatchError(

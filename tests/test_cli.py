@@ -253,8 +253,8 @@ def test_check_rejects_a_float_in_w(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["search", "--budget", "1", "--factor-n", "0"],   # empty orthospace
-    ["search", "--budget", "1", "--factor-n", "9"],   # automorphism limit
+    ["search", "--budget", "1", "--factor-n", "0"],   # out of range
+    ["search", "--budget", "1", "--factor-n", "9"],   # out of range
     ["space", "mo", "--n", "2", "-o", "{tmp}/missing/x.json"],
     ["verify", "--suite", "closure", "-o", "{tmp}/missing/x.json"],
     ["fixtures", "--regen", "--dir", "{tmp}/file/sub"],
@@ -265,6 +265,15 @@ def test_value_and_os_errors_exit_2(args, tmp_path):
     _usage_error(res)
     assert sum(line.startswith("Error:")
                for line in res.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("factor_n", ["0", "9", "-1"])
+def test_search_names_the_factor_n_range(monkeypatch, factor_n):
+    # refused before any work, with a hint the command line can follow
+    monkeypatch.setattr(cli_module, "make_mo", None)
+    res = invoke("search", "--budget", "1", "--factor-n", factor_n)
+    _usage_error(res, f"--factor-n must be between 1 and 8, got {factor_n}")
+    assert "max_atoms=" not in res.output
 
 
 def test_other_errors_keep_their_traceback(monkeypatch):

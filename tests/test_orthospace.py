@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from platlab import (dump_space, load_space, make_mo, make_powerset_space,
                      make_quadratic_line_space, validate_relation)
-from platlab.orthospace import OrthoSpace, SpaceFormatError, _row_defect
+from platlab.orthospace import (OrthoSpace, SpaceFormatError, _orthogonal,
+                                _row_defect)
 
 
 def test_mo_shape():
@@ -61,6 +62,45 @@ def test_constructor_accepts_exactly_the_rows_without_a_defect(rows):
     with pytest.raises(ValueError) as exc:
         OrthoSpace(labels, rows)
     assert str(exc.value) == message
+
+
+@st.composite
+def rows_with_defects(draw):
+    """A symmetric anti-reflexive relation on n atoms, then some defects:
+    diagonal bits, bits at n and above, and one-sided pairs either way."""
+    n = draw(st.integers(1, 8))
+    atom = st.integers(0, n - 1)
+    rows = [0] * n
+    for p, q in draw(st.lists(st.tuples(atom, atom), max_size=12)):
+        if p != q:
+            rows[p] |= 1 << q
+            rows[q] |= 1 << p
+    for p in draw(st.lists(atom, max_size=2)):
+        rows[p] |= 1 << p
+    for p, q in draw(st.lists(st.tuples(atom, st.integers(n, n + 3)),
+                              max_size=2)):
+        rows[p] |= 1 << q
+    for p, q in draw(st.lists(st.tuples(atom, atom), max_size=2)):
+        rows[p] ^= 1 << q
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_with_defects())
+def test_one_pass_check_accepts_exactly_the_rows_without_a_defect(rows):
+    assert _orthogonal(rows) == (_row_defect(rows) is None)
+
+
+@pytest.mark.parametrize("rows,want", [
+    ((0b10, 0b01), True),
+    ((0b11, 0b01), False),     # diagonal
+    ((0b110, 0b001), False),   # bit 2 on two atoms
+    ((0b10, 0b00), False),     # above the diagonal, not mirrored
+    ((0b00, 0b01), False),     # below the diagonal only: the counts differ
+])
+def test_one_pass_check_on_each_kind_of_defect(rows, want):
+    assert _orthogonal(rows) is want
+    assert (_row_defect(rows) is None) is want
 
 
 @pytest.mark.parametrize("labels,rows,atom,bit", [

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -12,7 +13,7 @@ from platlab import sepprod
 from platlab.bits import ids
 from platlab.closure import CarrierMismatchError, ClosureSystem
 from platlab.lattice import apply_perm_mask, automorphisms
-from platlab.orthospace import Verdict
+from platlab.orthospace import OrthoSpace, Verdict
 from platlab.sepprod import (DanielConditionError, ProductSpace,
                              default_edge_sampler)
 
@@ -427,3 +428,99 @@ def test_lifts_without_a_leading_identity_match_oracles():
     commute = sepprod._check_lifts_commute(prod, [id1], [bad])
     assert commute.witness == {"u1": list(id1), "u2": list(bad), "atom": 0}
     assert sepprod._check_p4(prod, psys, [id1], [id2]).holds
+
+
+# ------------------------------------------------ the factor-pair caches
+#
+# check_axioms reads the # rows, the P2 cylinder unions and the lift table
+# from caches keyed by the factor spaces, the factor ``sets`` and the W
+# tuples.  The test below runs every call in one process and in one order,
+# so each call can meet a table an earlier one cached; a key that drops any
+# part of that value hands it a stale table, and some verdict or witness
+# then differs from the oracles above or from P2 and P5 recomputed from
+# ``prod.cylinder1``/``cylinder2`` and ``prod.sharp_row``.
+
+def uncached_p2_p5(prod, psys, L1, L2):
+    """P2 by cylinders, whether P2 by # coatoms holds, and P5."""
+    cut = next(((a1, a2) for a1 in L1.masks for a2 in L2.masks
+                if prod.cylinder1(a1) | prod.cylinder2(a2) not in psys.sets),
+               None)
+    p2 = (Verdict(True, None) if cut is None else
+          Verdict(False, {"a1": ids(cut[0]), "a2": ids(cut[1])}))
+    coatoms = all(prod.sharp_row(p) in psys.sets for p in range(prod.size))
+    miss = next(((p, q) for p in range(prod.size)
+                 for q in ids(prod.sharp_row(p) & ~prod.rows[p])), None)
+    p5 = (Verdict(True, None) if miss is None else
+          Verdict(False, {"p": miss[0], "q": miss[1]}))
+    return p2, coatoms, p5
+
+
+def _check_against_oracles(left, right, rows, L1, L2, W1, W2):
+    prod = ProductSpace(left, right, rows, "case")
+    psys = enumerate_closed(prod)
+    rep = check_axioms(prod, L1, L2, W1, W2, psys)
+    p2, coatoms, p5 = uncached_p2_p5(prod, psys, L1, L2)
+    _same(rep.p2, p2)
+    assert rep.p2_forms_agree == (p2.holds == coatoms)
+    _same(rep.p5, p5)
+    _same(rep.p3, old_check_p3(prod, psys, L1, L2))
+    p4 = _same(rep.p4, old_check_p4(prod, psys, W1, W2))
+    commute = _same(sepprod._check_lifts_commute(prod, W1, W2),
+                    old_check_lifts_commute(prod, W1, W2))
+    _same(rep.p4star, commute if p4.holds else p4)
+    return rep
+
+
+def test_cached_tables_match_oracles_in_one_process():
+    mo2, mo3 = _factor(2), _factor(3)
+    # MO2 with its atoms paired (0, 2), (1, 3): the sizes of MO2, other rows
+    space = OrthoSpace(["b1", "b2", "b1'", "b2'"], (0b100, 0b1000, 0b1, 0b10))
+    fsys = enumerate_closed(space)
+    mo2_other = (space, fsys, list(automorphisms(space, fsys, mode="ortho")))
+    rng = random.Random(5)
+
+    def relations(left, right):
+        base = sharp(left, right)
+        out = [base.rows]
+        for _ in range(3):
+            rows = list(base.rows)
+            for p, q in default_edge_sampler(rng, base):
+                rows[p] |= 1 << q
+                rows[q] |= 1 << p
+            out.append(rows)
+        return out
+
+    # MO2×MO3, then MO3×MO2 and a relabelled MO2 × MO3, whole W
+    cases, p4 = [], []
+    for (left, L1, W1), (right, L2, W2) in ((mo2, mo3), (mo3, mo2),
+                                            (mo2_other, mo3)):
+        for rows in relations(left, right):
+            cases.append((left, right, rows, L1, L2))
+            rep = _check_against_oracles(left, right, rows, L1, L2, W1, W2)
+            p4.append(rep.p4.holds)
+    assert p4 == [True, False, False, False] * 3
+
+    # W reordered, subsetted, repeated, or not a group; pairs that share
+    # one side with an earlier pair
+    W1, W2 = mo2[2], mo3[2]
+    not_aut1, not_aut2 = (1, 2, 3, 0), (1, 2, 0, 3, 4, 5)
+    for U1, U2 in ((W1, W2[::-1]), (W1[::-1], W2), (W1[::-1], W2[::-1]),
+                   (W1[2:5], W2[7:20]), (W1[2:5], W2[::3]),
+                   (W1 + W1[:3], W2 + W2[:1]), ([W1[0], not_aut1], W2[:4]),
+                   (W1[:2], [not_aut2, W2[0]])):
+        for case in cases[:4]:
+            _check_against_oracles(*case, U1, U2)
+
+    # factor families that lack closed sets: the P2 witness's a₁ and a₂,
+    # then a singleton from each side
+    for left, right, rows, L1, L2 in cases[:8]:
+        W = (mo2[2], mo3[2]) if left.size == 4 else (mo3[2], mo2[2])
+        rep = _check_against_oracles(left, right, rows, L1, L2, *W)
+        cuts = []
+        if not rep.p2.holds:
+            a1 = sum(1 << i for i in rep.p2.witness["a1"])
+            a2 = sum(1 << i for i in rep.p2.witness["a2"])
+            cuts.append((_without(L1, {a1}), _without(L2, {a2})))
+        cuts.append((_without(L1, {0b1}), _without(L2, {0b10})))
+        for cut1, cut2 in cuts:
+            _check_against_oracles(left, right, rows, cut1, cut2, *W)
