@@ -17,6 +17,7 @@ only.
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys as _sys
 import time
@@ -29,8 +30,8 @@ from . import constructions as con
 from . import lattice as lat
 from . import sepprod as sp
 from .bits import rect
-from .closure import (brute_force_closed, dump_system, enumerate_closed,
-                      AtomSubset, biclosure, polar)
+from .closure import (atom_limit, brute_force_closed, dump_system,
+                      enumerate_closed, AtomSubset, biclosure, polar)
 from .orthospace import (_separating, dump_space, load_space, make_mo,
                          make_powerset_space, make_quadratic_line_space)
 
@@ -155,8 +156,9 @@ def _load_w(spec_str, name, space_obj, sysobj):
     if spec_str == "aut":
         return list(lat.automorphisms(space_obj, sysobj, mode="ortho"))
     try:
-        W = [tuple(u) for u in json.loads(Path(spec_str).read_text())]
-        sp._validate_w(W, space_obj.size, name)
+        W = sp._as_tuples(json.loads(Path(spec_str).read_text()),
+                          space_obj.size, name)
+        sp._w_inverse_closed(W, space_obj.size, name)
     except (OSError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad --{name.lower()} file: {exc}")
     return W
@@ -529,9 +531,9 @@ def run_search(budget: int, seed: int, factor_n: int = 2) -> dict:
     separated product's."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    # MO_n has 2n atoms, and the ortho automorphism search below is limited
-    # to AUTOMORPHISM_SEARCH_LIMIT of them
-    most = lat.AUTOMORPHISM_SEARCH_LIMIT // 2
+    # MO_n has 2n atoms, at most AUTOMORPHISM_SEARCH_LIMIT for the ortho
+    # automorphism search below, and MO_n × MO_n (2n)², at most atom_limit()
+    most = min(math.isqrt(atom_limit()), lat.AUTOMORPHISM_SEARCH_LIMIT) // 2
     if not 1 <= factor_n <= most:
         raise ValueError(f"--factor-n must be between 1 and {most}, "
                          f"got {factor_n}")

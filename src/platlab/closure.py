@@ -17,6 +17,7 @@ from .bits import REVERSED_BYTES, ids
 
 DEFAULT_ATOM_LIMIT = 64
 DEFAULT_SET_LIMIT = 5_000_000
+BRUTE_FORCE_ATOM_LIMIT = 20
 
 
 def atom_limit() -> int:
@@ -331,25 +332,26 @@ class ClosureSystem:
                 if m != full and self.up_set(m).bit_count() == 2]
 
 
-def enumerate_closed(space, max_atoms=None) -> ClosureSystem:
+def enumerate_closed(space) -> ClosureSystem:
     """Enumerate {a : a^⊥⊥ = a} as the intersection-closure of the polar
     rows plus Σ (valid because a^⊥ = ∩_{p∈a} p^⊥)."""
-    limit = atom_limit() if max_atoms is None else max_atoms
+    limit = atom_limit()
     if space.size > limit:
         raise EnumerationLimitError(
             f"carrier has {space.size} atoms, enumeration limit is {limit}; "
-            "raise it with PLAT_LIMIT_ATOMS or max_atoms=")
+            "raise it with PLAT_LIMIT_ATOMS")
     return _relation_system(space, space.rows)
 
 
-def brute_force_closed(space, max_atoms=20) -> ClosureSystem:
+def brute_force_closed(space) -> ClosureSystem:
     """Oracle enumeration: filter all 2^Σ subsets by biclosure(a) = a.
 
     Exponential; only for cross-checking enumerate_closed on small carriers.
     """
-    if space.size > max_atoms:
+    if space.size > BRUTE_FORCE_ATOM_LIMIT:
         raise EnumerationLimitError(
-            f"brute force limited to {max_atoms} atoms")
+            f"brute force limited to {BRUTE_FORCE_ATOM_LIMIT} atoms; raise "
+            "it by setting platlab.closure.BRUTE_FORCE_ATOM_LIMIT")
     rows, full, n = space.rows, space.full, space.size
     masks = [m for m in range(1 << n)
              if _kernel.biclosure(rows, m, full) == m]

@@ -237,7 +237,7 @@ def enumerate_subspaces(q: int, dim: int):
     if total > SUBSPACE_ENUM_LIMIT:
         raise EnumerationLimitError(
             f"{total} subspaces exceeds limit {SUBSPACE_ENUM_LIMIT}; raise "
-            "constructions.SUBSPACE_ENUM_LIMIT")
+            "it by setting platlab.constructions.SUBSPACE_ENUM_LIMIT")
     by_dim = {0: [()]}
     for k in range(1, dim + 1):
         by_dim[k] = list(_rref_matrices(F, dim, k))

@@ -19,6 +19,7 @@ from .orthospace import Verdict
 
 AUTOMORPHISM_SEARCH_LIMIT = 16
 ORTHOCOMPLEMENT_SEARCH_LIMIT = 1000
+GROUP_SIZE_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,11 @@ def compose(p, q):
 
 def is_permutation(u, degree) -> bool:
     """True iff u lists each of the atoms 0..degree-1 once, as ints; a
-    float or a bool equal to an index is not one."""
-    entries = list(u)
+    float or a bool equal to an index is not one, nor is a non-iterable."""
+    try:
+        entries = list(u)
+    except TypeError:
+        return False
     return (all(isinstance(x, int) and not isinstance(x, bool)
                 for x in entries)
             and sorted(entries) == list(range(degree)))
@@ -71,7 +75,7 @@ def is_closed_group(elements, degree) -> bool:
         compose(p, q) in es for p in es for q in es)
 
 
-def close_group(generators, degree, cap=1_000_000):
+def close_group(generators, degree):
     """Group generated by ``generators`` under composition and inverse."""
     ident = tuple(range(degree))
     seen = {ident}
@@ -85,10 +89,11 @@ def close_group(generators, degree, cap=1_000_000):
                 if r not in seen:
                     seen.add(r)
                     nxt.append(r)
-                    if len(seen) > cap:
+                    if len(seen) > GROUP_SIZE_LIMIT:
                         raise EnumerationLimitError(
-                            f"generated group exceeds {cap} elements; "
-                            "raise the limit with cap=")
+                            f"generated group exceeds {GROUP_SIZE_LIMIT} "
+                            "elements; raise it by setting "
+                            "platlab.lattice.GROUP_SIZE_LIMIT")
         frontier = nxt
     return sorted(seen)
 
@@ -171,14 +176,15 @@ def _is_automorphism(space, sys, perm, mode):
     return all(apply_perm_mask(perm, m) in sys.sets for m in sys.sets)
 
 
-def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
-                  max_atoms=AUTOMORPHISM_SEARCH_LIMIT) -> PermutationGroup:
+def automorphisms(space, sys: ClosureSystem, mode="ortho",
+                  generators=None) -> PermutationGroup:
     """Atom permutations preserving the closed-set family, and for
     mode='ortho' additionally commuting with the polarity on atoms.
 
     Lattice mode accepts any family on the carrier.  Full backtracking
-    search up to ``max_atoms``; above that, supply generators and they are
-    verified and closed into a group instead.
+    search up to ``AUTOMORPHISM_SEARCH_LIMIT`` atoms; above that, supply
+    generators and they are verified and closed into a group instead.
+    Either way the group has at most ``GROUP_SIZE_LIMIT`` elements.
     """
     if mode not in ("lattice", "ortho"):
         raise ValueError(f"unknown mode: {mode}")
@@ -196,11 +202,11 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
                                  f"automorphism: {tuple(g)}")
         elems = close_group(generators, n)
         return PermutationGroup(n, tuple(elems))
-    if n > max_atoms:
+    if n > AUTOMORPHISM_SEARCH_LIMIT:
         raise EnumerationLimitError(
-            f"automorphism search limit {max_atoms} exceeded for {n} atoms "
-            "and no generators supplied; pass generators= or raise it with "
-            "max_atoms=")
+            f"automorphism search limit {AUTOMORPHISM_SEARCH_LIMIT} exceeded "
+            f"for {n} atoms and no generators supplied; raise it by setting "
+            "platlab.lattice.AUTOMORPHISM_SEARCH_LIMIT")
 
     rows = space.rows
 
@@ -227,6 +233,11 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho", generators=None,
             # ortho mode compared orth(k, j) for every j < k; the relation
             # is symmetric, so that covers every pair
             found.append(tuple(image))
+            if len(found) > GROUP_SIZE_LIMIT:
+                raise EnumerationLimitError(
+                    f"automorphism group exceeds {GROUP_SIZE_LIMIT} "
+                    "elements; raise it by setting "
+                    "platlab.lattice.GROUP_SIZE_LIMIT")
             return
         if mode == "ortho":
             # the image of row k on the atoms placed so far
@@ -265,8 +276,7 @@ def is_transitive(group: PermutationGroup) -> bool:
     return len(orbit) == group.degree
 
 
-def find_orthocomplementation(sys: ClosureSystem,
-                              max_elements=ORTHOCOMPLEMENT_SEARCH_LIMIT):
+def find_orthocomplementation(sys: ClosureSystem, max_elements=None):
     """An order-reversing involution ' with a∧a' = ∅ and a∨a' = Σ, as the
     mapping {mask: mask'}, or None.
 
@@ -288,10 +298,12 @@ def find_orthocomplementation(sys: ClosureSystem,
     if sys.is_system_of(carrier):
         return {m: _kernel.polar(carrier.rows, m, carrier.full)
                 for m in sys.masks}
+    if max_elements is None:
+        max_elements = ORTHOCOMPLEMENT_SEARCH_LIMIT
     if len(sys) > max_elements:
         raise EnumerationLimitError(
             f"system has {len(sys)} elements, search limit {max_elements}; "
-            "raise it with max_elements=")
+            "raise it by setting platlab.lattice.ORTHOCOMPLEMENT_SEARCH_LIMIT")
     atoms = sys.atoms()
     coatoms = sys.coatoms()
     if len(atoms) != len(coatoms):

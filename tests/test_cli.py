@@ -174,7 +174,7 @@ def test_verify_l0_over_search_limit_is_usage_error():
     # the q = 7 family has 2,050 sets, past the orthocomplementation limit
     _usage_error(invoke("verify", "--suite", "l0", "--q", "7"),
                  "system has 2050 elements, search limit 1000",
-                 "max_elements=")
+                 "platlab.lattice.ORTHOCOMPLEMENT_SEARCH_LIMIT")
 
 
 def test_verify_l0_over_atom_limit_is_usage_error():
@@ -267,12 +267,12 @@ def test_value_and_os_errors_exit_2(args, tmp_path):
                for line in res.output.splitlines()) == 1
 
 
-@pytest.mark.parametrize("factor_n", ["0", "9", "-1"])
+@pytest.mark.parametrize("factor_n", ["0", "5", "9", "-1"])
 def test_search_names_the_factor_n_range(monkeypatch, factor_n):
     # refused before any work, with a hint the command line can follow
     monkeypatch.setattr(cli_module, "make_mo", None)
     res = invoke("search", "--budget", "1", "--factor-n", factor_n)
-    _usage_error(res, f"--factor-n must be between 1 and 8, got {factor_n}")
+    _usage_error(res, f"--factor-n must be between 1 and 4, got {factor_n}")
     assert "max_atoms=" not in res.output
 
 

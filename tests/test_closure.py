@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,10 +8,13 @@ from platlab import (AtomSubset, ClosureSystem, OrthoSpace, biclosure,
                      brute_force_closed, dump_system, enumerate_closed,
                      make_mo, make_powerset_space, make_quadratic_line_space,
                      polar, sharp)
-from platlab import closure
+from platlab import closure, constructions, lattice
 from platlab.bits import ids
 from platlab.closure import (CarrierMismatchError, EnumerationLimitError,
                              NotClosedError, atom_limit)
+from platlab.constructions import enumerate_subspaces
+from platlab.lattice import (automorphisms, close_group,
+                             find_orthocomplementation)
 
 MO22 = sharp(make_mo(2), make_mo(2))
 
@@ -217,6 +222,43 @@ def test_atom_limit_env(monkeypatch):
     enumerate_closed(make_mo(2))  # at the limit is fine
 
 
-def test_brute_force_guard():
+def test_brute_force_guard(monkeypatch):
+    monkeypatch.setattr(closure, "BRUTE_FORCE_ATOM_LIMIT", 10)
     with pytest.raises(EnumerationLimitError):
-        brute_force_closed(MO22, max_atoms=10)
+        brute_force_closed(MO22)
+
+
+def _mo2_ortho_group():
+    mo2 = make_mo(2)
+    return automorphisms(mo2, enumerate_closed(mo2), mode="ortho")
+
+
+def _hexagon_search():
+    # an explicit family of 6 elements, so the search runs and is limited
+    space = OrthoSpace(["a", "b", "c", "d"], [0b1000, 0b0100, 0b1010, 0b0101])
+    family = ClosureSystem(space, enumerate_closed(space).masks)
+    return find_orthocomplementation(family)
+
+
+@pytest.mark.parametrize("module,name,answered_at,call", [
+    (lattice, "AUTOMORPHISM_SEARCH_LIMIT", 4, _mo2_ortho_group),  # atoms
+    (lattice, "GROUP_SIZE_LIMIT", 8, _mo2_ortho_group),  # elements listed
+    (lattice, "GROUP_SIZE_LIMIT", 8,
+     lambda: close_group([(1, 0, 2, 3), (2, 3, 0, 1)], 4)),
+    (lattice, "ORTHOCOMPLEMENT_SEARCH_LIMIT", 6, _hexagon_search),
+    (closure, "BRUTE_FORCE_ATOM_LIMIT", 4,
+     lambda: brute_force_closed(make_mo(2))),
+    (constructions, "SUBSPACE_ENUM_LIMIT", 212,  # all of GF(3)^4
+     lambda: enumerate_subspaces(3, 4)),
+], ids=["automorphism-search", "group-size-search", "group-size-closure",
+        "orthocomplement-search", "brute-force", "subspace-enumeration"])
+def test_each_limit_constant_moves_its_refusal(monkeypatch, module, name,
+                                               answered_at, call):
+    # read at the call: the work answers at the limit and is refused one
+    # below it, by an error that names the constant to raise
+    monkeypatch.setattr(module, name, answered_at)
+    call()
+    monkeypatch.setattr(module, name, answered_at - 1)
+    with pytest.raises(EnumerationLimitError,
+                       match=re.escape(f"{module.__name__}.{name}")):
+        call()

@@ -161,7 +161,7 @@ def test_factor_bijection_validation(mo2):
     with pytest.raises(ValueError, match="own polar"):
         FactorBijection((1, 0, 3, 2)).validate(mo2)
     # (2, 3, 0, True) sorts equal to 0..3, but True is not an atom index
-    for perm in ((0, 0, 1, 2), (2.0, 3, 0, 1), (2, 3, 0, True)):
+    for perm in ((0, 0, 1, 2), (2.0, 3, 0, 1), (2, 3, 0, True), 5):
         with pytest.raises(ValueError, match="not a permutation"):
             FactorBijection(perm).validate(mo2)
     mo_pair_swap_bijection(2)  # validates internally

@@ -2,6 +2,7 @@ import pytest
 
 from platlab import (enumerate_closed, make_mo, make_powerset_space,
                      separated_product)
+from platlab import lattice
 from platlab.closure import (CarrierMismatchError, ClosureSystem,
                              EnumerationLimitError)
 from platlab.lattice import (PermutationGroup, analysis_report, automorphisms,
@@ -46,11 +47,12 @@ def test_automorphisms_from_generators():
         automorphisms(mo2, sys, mode="ortho", generators=[(1, 2, 3, 0)])
 
 
-def test_automorphism_search_limit():
+def test_automorphism_search_limit(monkeypatch):
     s = make_powerset_space(5)
     sys = enumerate_closed(s)
+    monkeypatch.setattr(lattice, "AUTOMORPHISM_SEARCH_LIMIT", 4)
     with pytest.raises(EnumerationLimitError):
-        automorphisms(s, sys, mode="lattice", max_atoms=4)
+        automorphisms(s, sys, mode="lattice")
 
 
 def test_product_lacks_covering_and_orthomodularity(mo2_product):
@@ -173,7 +175,7 @@ def test_lattice_automorphisms_accept_an_explicit_family(mo2, mo2_sys):
         automorphisms(mo2, enumerate_closed(make_mo(3)), mode="lattice")
 
 
-@pytest.mark.parametrize("bad", [(1.0, 0, 2, 3), (True, False, 2, 3)])
+@pytest.mark.parametrize("bad", [(1.0, 0, 2, 3), (True, False, 2, 3), 5])
 def test_generators_must_be_int_permutations(mo2, mo2_sys, bad):
     with pytest.raises(ValueError, match="not a permutation of 4 atoms"):
         automorphisms(mo2, mo2_sys, mode="ortho", generators=[bad])
