@@ -105,15 +105,34 @@ def covering_property(sys: ClosureSystem) -> Verdict:
     first in canonical order of the closed sets strictly between a and
     b = a ∨ p.  Every such c of least size is a ∨ r for each of its atoms
     r ∉ a, and every a ∨ r ≠ b with r ∈ b∖a is a member strictly between,
-    so c is read off the joins a ∨ r: n − |a| joins per a.
+    so c is read off the joins a ∨ r: n − |a| joins per a.  Each r lies in
+    a ∨ r, so the atoms r ∉ a with a ∨ r = b form a subset of b∖a, and
+    covering holds at a iff that class is all of b∖a for every join value
+    b: one pass over the joins.  The per-p scan runs only on the first a
+    where it fails, for the witness.  A join of two atoms is made once:
+    a = {s} and a = {r} share {s} ∨ r = {r} ∨ s.
     """
-    full, index = sys.carrier.full, sys.index
+    full = sys.carrier.full
+    pairs = {}  # {s, r} -> {s} ∨ r
     for am in sys.masks:
-        joins = {r: sys.join_mask(am | 1 << r) for r in ids(full ^ am)}
+        joins, classes = {}, {}
+        one_atom = am.bit_count() == 1
+        for r in ids(full ^ am):
+            u = am | 1 << r
+            if one_atom:
+                bm = pairs.get(u)
+                if bm is None:
+                    bm = pairs[u] = sys.join_mask(u)
+            else:
+                bm = sys.join_mask(u)
+            joins[r] = bm
+            classes[bm] = classes.get(bm, 0) | 1 << r
+        if all(cls == bm & ~am for bm, cls in classes.items()):
+            continue
         for p, bm in joins.items():
             between = {joins[r] for r in ids(bm & ~am)} - {bm}
             if between:
-                first = min(index[cm] for cm in between)
+                first = min(sys.index[cm] for cm in between)
                 return Verdict(False, (ids(am), p, ids(sys.masks[first])))
     return Verdict(True, None)
 
@@ -126,11 +145,19 @@ def _require_own_system(space, sys: ClosureSystem):
 
 
 def orthomodularity(space, sys: ClosureSystem) -> Verdict:
-    """b = a ∨ (b ∧ a^⊥) for all closed a ⊆ b; minimal (a, b) on failure."""
+    """b = a ∨ (b ∧ a^⊥) for all closed a ⊆ b; minimal (a, b) on failure.
+
+    The pairs where the law holds by definition are skipped: a = ∅ (b ∨ ∅
+    = b), b = a (a ∧ a^⊥ = ∅, the relation being anti-reflexive) and b = Σ
+    (a ∨ a^⊥ = Σ).  A b ⊋ a is larger, so it comes after a in canonical
+    order, and Σ comes last; the first failing pair is unchanged.
+    """
     _require_own_system(space, sys)
-    for am in sys.masks:
+    masks = sys.masks
+    for i in range(1, len(masks) - 1):
+        am = masks[i]
         pa = _kernel.polar(space.rows, am, space.full)
-        for bm in sys.masks:
+        for bm in masks[i + 1:-1]:
             if am & ~bm:
                 continue
             if sys.join_mask(am | (bm & pa)) != bm:
@@ -185,6 +212,13 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho",
     search up to ``AUTOMORPHISM_SEARCH_LIMIT`` atoms; above that, supply
     generators and they are verified and closed into a group instead.
     Either way the group has at most ``GROUP_SIZE_LIMIT`` elements.
+
+    The search places atoms 0, 1, … in turn.  The candidates for atom k are
+    a mask: the unplaced atoms of k's profile, and in ortho mode, for each
+    j < k, ANDed with ``rows[image[j]]`` where k ⊥ j and with its
+    complement where not; the relation is symmetric, so a complete
+    permutation keeps ⊥.  Lattice mode maps the closed sets whose highest
+    atom is k as soon as k is placed.
     """
     if mode not in ("lattice", "ortho"):
         raise ValueError(f"unknown mode: {mode}")
@@ -219,6 +253,9 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho",
         return tuple(sorted(m.bit_count() for m in sys.sets if m >> p & 1))
 
     profs = [profile(p) for p in range(n)]
+    same = {}  # profile -> the atoms that have it, as a mask
+    for p, pr in enumerate(profs):
+        same[pr] = same.get(pr, 0) | 1 << p
     # lattice mode: the closed sets whose highest atom is k are mapped, and
     # must land in the family, as soon as atom k is placed
     by_top = [[] for _ in range(n)]
@@ -239,19 +276,24 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho",
                     "elements; raise it by setting "
                     "platlab.lattice.GROUP_SIZE_LIMIT")
             return
+        # the unplaced atoms of k's profile; in ortho mode, of those, the
+        # atoms orthogonal to image[j] exactly where k is to j, for j < k
+        cand = same[profs[k]] & ~placed
         if mode == "ortho":
-            # the image of row k on the atoms placed so far
-            want = apply_perm_mask(image, rows[k] & ((1 << k) - 1))
-        for q in range(n):
-            if placed >> q & 1 or profs[q] != profs[k]:
-                continue
-            if mode == "ortho" and rows[q] & placed != want:
-                continue
-            image[k] = q
+            row = rows[k]
+            for j in range(k):
+                if row >> j & 1:
+                    cand &= rows[image[j]]
+                else:
+                    cand &= ~rows[image[j]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            image[k] = low.bit_length() - 1
             if mode == "lattice" and not all(
                     apply_perm_mask(image, m) in sys.sets for m in by_top[k]):
                 continue
-            backtrack(k + 1, placed | 1 << q)
+            backtrack(k + 1, placed | low)
         image[k] = -1
 
     backtrack(0, 0)

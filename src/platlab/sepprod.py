@@ -432,17 +432,22 @@ def daniel_lift(f, L1sys: ClosureSystem, L2sys: ClosureSystem) -> LatticeMap:
 
 
 def default_edge_sampler(rng: random.Random, prod: ProductSpace):
-    """1 or 2 random symmetric pairs outside # (and off the diagonal)."""
-    k = rng.choice((1, 2))
+    """1 or 2 random symmetric pairs outside # (and off the diagonal),
+    drawn until that many distinct pairs are found; at most as many as
+    there are.  ValueError when # relates every pair of distinct atoms."""
+    sharp_rows = _sharp_rows(prod.left, prod.right)
+    # each atom is outside its own # row, hence the − 1
+    count = sum((prod.full ^ row).bit_count() - 1 for row in sharp_rows) // 2
+    if count == 0:
+        raise ValueError(f"# relates every pair of distinct atoms of the "
+                         f"{prod.left.size}x{prod.right.size} product, so "
+                         "there is no pair outside # to draw")
+    k = min(rng.choice((1, 2)), count)
     pairs = set()
-    guard = 0
     while len(pairs) < k:
         p = rng.randrange(prod.size)
         q = rng.randrange(prod.size)
-        if p == q or prod.sharp_row(p) >> q & 1:
-            guard += 1
-            if guard > 10_000:
-                raise ValueError("sampler cannot find non-# pairs")
+        if p == q or sharp_rows[p] >> q & 1:
             continue
         pairs.add((min(p, q), max(p, q)))
     return sorted(pairs)

@@ -15,9 +15,14 @@ products, and the explicit join against the meet of the supersets.
 oracles that follow their definitions over the 2^Σ brute-force family, and
 ``automorphisms`` against all n! atom permutations on up to 8 atoms.  On the
 products MO_n × MO_m the polar table is checked against the backtracking
-search, run on the same sets as an explicit family.
+search, run on the same sets as an explicit family.  On a few products,
+relabelled ones and one where both laws hold, ``covering_property`` and
+``orthomodularity`` are checked against the same oracles, and
+``automorphisms`` against the search it replaced, which took the images of
+each atom from a scan over all atoms.
 """
 
+import random
 from itertools import permutations
 
 import pytest
@@ -25,7 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platlab import ClosureSystem, OrthoSpace, brute_force_closed
-from platlab import enumerate_closed, make_mo, separated_product
+from platlab import enumerate_closed, make_mo, make_powerset_space
+from platlab import lattice, separated_product
 from platlab.bits import ids
 from platlab.constructions import tensor_trace_lattice
 from platlab.lattice import (apply_perm_mask, automorphisms, center,
@@ -92,6 +98,47 @@ def old_covering_property(sys):
                 if cm != am and cm != bm and am & ~cm == 0 and cm & ~bm == 0:
                     return Verdict(False, (ids(am), p, ids(cm)))
     return Verdict(True, None)
+
+
+def old_automorphisms(space, sys, mode):
+    """The backtracking search before candidates became masks: every atom
+    q is tried for atom k, filtered by profile and, in ortho mode, by the
+    image ``want`` of row k on the atoms placed so far."""
+    n, rows = space.size, space.rows
+
+    def profile(p):
+        if mode == "ortho":
+            return rows[p].bit_count()
+        return tuple(sorted(m.bit_count() for m in sys.sets if m >> p & 1))
+
+    profs = [profile(p) for p in range(n)]
+    by_top = [[] for _ in range(n)]
+    for m in sys.sets:
+        if m:
+            by_top[m.bit_length() - 1].append(m)
+    found = []
+    image = [-1] * n
+
+    def backtrack(k, placed):
+        if k == n:
+            found.append(tuple(image))
+            return
+        if mode == "ortho":
+            want = apply_perm_mask(image, rows[k] & ((1 << k) - 1))
+        for q in range(n):
+            if placed >> q & 1 or profs[q] != profs[k]:
+                continue
+            if mode == "ortho" and rows[q] & placed != want:
+                continue
+            image[k] = q
+            if mode == "lattice" and not all(
+                    apply_perm_mask(image, m) in sys.sets for m in by_top[k]):
+                continue
+            backtrack(k + 1, placed | 1 << q)
+        image[k] = -1
+
+    backtrack(0, 0)
+    return tuple(sorted(found))
 
 
 def canonical_key(mask):
@@ -424,3 +471,72 @@ def test_lattice_automorphisms_of_mo2_x_mo2():
     assert len(lattice) == 1152 and len(ortho) == 128
     assert set(ortho.elements) <= set(lattice.elements)
     assert is_closed_group(lattice.elements, prod.size)
+    assert lattice.elements == old_automorphisms(prod, sys, "lattice")
+    assert ortho.elements == old_automorphisms(prod, sys, "ortho")
+
+
+# ------------------------------------------ oracles on the products
+
+class _JoinTable(dict):
+    """u ↦ the least closed superset of u, computed on first lookup."""
+
+    def __init__(self, closed, full):
+        super().__init__()
+        self.closed, self.full = closed, full
+
+    def __missing__(self, u):
+        self[u] = join = _meet_of_supersets(self.closed, u, self.full)
+        return join
+
+
+def _relabelled(space, rng):
+    perm = list(range(space.size))
+    rng.shuffle(perm)
+    rows = [0] * space.size
+    for i, row in enumerate(space.rows):
+        rows[perm[i]] = sum(1 << perm[j] for j in ids(row))
+    return OrthoSpace([space.labels[perm.index(i)] for i in range(space.size)],
+                      rows)
+
+
+def _seed1_mo2_x_mo3():
+    # the factors of MO2×MO3 as the benchmark ladder draws them at seed 1:
+    # one shuffle per factor, MO2×MO2's two first
+    rng = random.Random(1)
+    for n in (2, 2):
+        _relabelled(make_mo(n), rng)
+    return _relabelled(make_mo(2), rng), _relabelled(make_mo(3), rng)
+
+
+PRODUCTS = {
+    "mo2xmo2": (make_mo(2), make_mo(2)),
+    "mo2xmo3": (make_mo(2), make_mo(3)),
+    "mo2xmo3-seed1": _seed1_mo2_x_mo3(),
+    "pow3xpow2": (make_powerset_space(3), make_powerset_space(2)),
+}
+
+
+@pytest.mark.parametrize("key", PRODUCTS)
+def test_covering_and_orthomodularity_match_oracles_on_products(key):
+    prod, sys = separated_product(*PRODUCTS[key])
+    n = prod.size
+
+    def perp(a):
+        return sum(1 << q for q in range(n)
+                   if all(prod.orth(p, q) for p in ids(a)))
+
+    join = _JoinTable(sys.masks, prod.full)
+    cov, om = covering_property(sys), orthomodularity(prod, sys)
+    assert cov == old_covering_property(sys)
+    assert om == oracle_orthomodularity(sys.masks, perp, join)
+    # both laws fail on the MO products and hold on the powerset one
+    assert cov.holds == om.holds == (key == "pow3xpow2")
+
+
+def test_ortho_automorphisms_of_mo2_x_mo3_match_the_per_atom_search(
+        monkeypatch):
+    prod, sys = separated_product(make_mo(2), make_mo(3))
+    monkeypatch.setattr(lattice, "AUTOMORPHISM_SEARCH_LIMIT", prod.size)
+    ortho = automorphisms(prod, sys, mode="ortho")
+    assert len(ortho) == 384
+    assert ortho.elements == old_automorphisms(prod, sys, "ortho")

@@ -216,6 +216,27 @@ def test_default_edge_sampler_avoids_sharp(mo2):
             assert p < q and not prod.orth(p, q)
 
 
+def test_default_edge_sampler_refuses_when_sharp_relates_every_pair():
+    # on powerset(2) × powerset(2), # relates every pair of distinct atoms
+    p2 = make_powerset_space(2)
+    prod = sharp(p2, p2)
+    assert all(prod.orth(p, q) for p in range(4) for q in range(4) if p != q)
+    with pytest.raises(ValueError, match="no pair outside # to draw"):
+        default_edge_sampler(random.Random(0), prod)
+    with pytest.raises(ValueError, match="2x2 product"):
+        perturbation_test(p2, p2, trials=1)
+
+
+def test_default_edge_sampler_draws_at_most_the_pairs_there_are():
+    # two non-orthogonal atoms times one atom: one pair outside #, so a
+    # draw of k = 2 returns that pair alone
+    prod = sharp(OrthoSpace(["a", "b"], [0, 0]), OrthoSpace(["x"], [0]))
+    ks = [random.Random(seed).choice((1, 2)) for seed in range(10)]
+    assert 2 in ks
+    for seed in range(10):
+        assert default_edge_sampler(random.Random(seed), prod) == [(0, 1)]
+
+
 def test_p_hash_components(mo2_product):
     prod, _ = mo2_product
     s1, s2, k = p_hash_components(prod, prod.encode(0, 1))
