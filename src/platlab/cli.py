@@ -32,8 +32,9 @@ from . import sepprod as sp
 from .bits import rect
 from .closure import (atom_limit, brute_force_closed, dump_system,
                       enumerate_closed, AtomSubset, biclosure, polar)
-from .orthospace import (_separating, dump_space, load_space, make_mo,
-                         make_powerset_space, make_quadratic_line_space)
+from .orthospace import (_pairs, _rows_from_pairs, _separating, dump_space,
+                         load_space, make_mo, make_powerset_space,
+                         make_quadratic_line_space)
 
 FIXTURE_DIR = Path("fixtures")
 
@@ -114,9 +115,8 @@ def product(left, right, do_enum, out):
     if do_enum:
         text = dump_system(enumerate_closed(prod))
     else:
-        pairs = [[p, q] for p in range(prod.size)
-                 for q in range(p + 1, prod.size) if prod.orth(p, q)]
-        text = json.dumps({"atoms": prod.size, "pairs": pairs}) + "\n"
+        text = json.dumps({"atoms": prod.size,
+                           "pairs": _pairs(prod.rows)}) + "\n"
     _write(text, out)
 
 
@@ -135,13 +135,13 @@ def check(relation, w1, w2, out):
         left = load_space(json.dumps(doc["left"]))
         right = load_space(json.dumps(doc["right"]))
         n = left.size * right.size
-        rows = [0] * n
         for p, q in doc["pairs"]:
-            if not (0 <= p < n and 0 <= q < n):
-                raise ValueError(f"pair index out of range: {[p, q]}")
-            rows[p] |= 1 << q
-            rows[q] |= 1 << p
-        prod = sp.ProductSpace(left, right, rows, "candidate")
+            if not all(type(x) is int and 0 <= x < n for x in (p, q)):
+                raise ValueError(f"pair is not two atom indices of the "
+                                 f"{n}-atom product: {[p, q]}")
+        prod = sp.ProductSpace(left, right,
+                               _rows_from_pairs([0] * n, doc["pairs"]),
+                               "candidate")
     except (KeyError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad relation document: {exc}")
     L1sys = enumerate_closed(left)
@@ -166,10 +166,6 @@ def _load_w(spec_str, name, space_obj, sysobj):
 
 # ---------------------------------------------------------------- verify
 
-def _random_subset(rng, size):
-    return rng.randrange(1 << size)
-
-
 def _suite_closure(config):
     checks = []
     mo3 = make_mo(3)
@@ -177,8 +173,8 @@ def _suite_closure(config):
     rng = random.Random(config["seed"])
     bad = None
     for _ in range(1000):
-        a = AtomSubset(prod, _random_subset(rng, prod.size))
-        b = AtomSubset(prod, _random_subset(rng, prod.size))
+        a = AtomSubset(prod, rng.randrange(1 << prod.size))
+        b = AtomSubset(prod, rng.randrange(1 << prod.size))
         lo = a & b
         ca = biclosure(prod, a)
         if not (a <= ca):
@@ -232,17 +228,21 @@ def _suite_theorem1(config):
     return checks
 
 
-def _mo2_report(config):
+def _mo2_setup():
+    """MO2, its system, MO2×MO2 under # and its system, W = the ortho
+    automorphisms of MO2, C = {a1-a2, a1'-a2'}, the # product's report."""
     mo2 = make_mo(2)
     sys2 = enumerate_closed(mo2)
     prod, psys = sp.separated_product(mo2, mo2)
     W = list(lat.automorphisms(mo2, sys2, mode="ortho"))
-    return sp.check_axioms(prod, sys2, sys2, W, W, psys), W, prod
+    C = con.CRelation.from_adjacency(mo2, [[2], [3], [0], [1]])
+    return (mo2, sys2, prod, psys, W, C,
+            sp.check_axioms(prod, sys2, sys2, W, W, psys))
 
 
 def _suite_theorem2(config):
     checks = []
-    report, W, _ = _mo2_report(config)
+    mo2, _, _, _, W, _, report = _mo2_setup()
     j = report.to_json()
     allok = all(j[k]["holds"] is True
                 for k in ("P1", "P2", "P3", "P4", "P5", "separating"))
@@ -253,8 +253,8 @@ def _suite_theorem2(config):
                    "the factor automorphism group is transitive",
                    lat.is_transitive(lat.PermutationGroup(4, tuple(W))),
                    None))
-    summ = sp.perturbation_test(make_mo(2), make_mo(2),
-                                trials=config["trials"], seed=config["seed"])
+    summ = sp.perturbation_test(mo2, mo2, trials=config["trials"],
+                                seed=config["seed"])
     total_failed = sum(summ.failures_by_axiom.values())
     checks.append(("perturbations-all-fail",
                    f"{config['trials']} perturbed relations each fail an "
@@ -267,7 +267,7 @@ def _suite_theorem2(config):
 
 def _suite_theorem3(config):
     checks = []
-    report, W, prod = _mo2_report(config)
+    _, _, prod, _, W, _, report = _mo2_setup()
     j = report.to_json()
     checks.append(("p4star-holds",
                    "lifted factor ortho-automorphism pairs are "
@@ -280,30 +280,20 @@ def _suite_theorem3(config):
 
 def _suite_lemmas(config):
     checks = []
-    mo2 = make_mo(2)
-    sys2 = enumerate_closed(mo2)
-    prod, psys = sp.separated_product(mo2, mo2)
-    W = list(lat.automorphisms(mo2, sys2, mode="ortho"))
-    C = con.CRelation.from_adjacency(mo2, [[2], [3], [0], [1]])
-    fixtures = {
-        "sharp": prod,
-        "perp2": con.build_perp2(prod, C, C),
-        "perp3": con.build_perp3(prod, C, C),
-        "perp5": con.build_perp5(prod, con.mo_pair_swap_bijection(2),
-                                 con.mo_pair_swap_bijection(2)),
-    }
-    agree = True
-    for name, px in fixtures.items():
-        rep = sp.check_axioms(px, sys2, sys2, W, W)
-        if not rep.p2_forms_agree:
-            agree = False
+    _, sys2, prod, _, W, C, report = _mo2_setup()
+    fixtures = [prod, con.build_perp2(prod, C, C), con.build_perp3(prod, C, C),
+                con.build_perp5(prod, con.mo_pair_swap_bijection(2),
+                                con.mo_pair_swap_bijection(2))]
+    reports = [report] + [sp.check_axioms(px, sys2, sys2, W, W)
+                          for px in fixtures[1:]]
+    agree = all(rep.p2_forms_agree for rep in reports)
     checks.append(("p2-cylinder-vs-coatom",
                    "cylinder-based and coatom-based P2 verdicts agree on "
                    "every fixture, including broken relations", agree, None))
 
     # if biclosure(p^#) stays inside p^#, the relation is separating
     ok = True
-    for name, px in fixtures.items():
+    for px in fixtures:
         shrinks = all(
             _kernel.biclosure(px.rows, px.sharp_row(p), px.full)
             & ~px.sharp_row(p) == 0
@@ -320,10 +310,9 @@ def _suite_lemmas(config):
         s1, s2, k = sp.p_hash_components(prod, p)
         if s1.bits not in sys2.sets or s2.bits not in sys2.sets:
             ok = False
-    rep = sp.check_axioms(prod, sys2, sys2, W, W, psys)
     checks.append(("closed-shadows-imply-p3",
                    "closed polar shadows on both factors imply P3",
-                   not ok or rep.to_json()["P3"]["holds"] is True, None))
+                   not ok or report.to_json()["P3"]["holds"] is True, None))
 
     for n in (2, 3):
         mon = make_mo(n)
@@ -392,11 +381,7 @@ def _suite_lemmas(config):
 
 def _suite_constructions(config):
     checks = []
-    mo2 = make_mo(2)
-    sys2 = enumerate_closed(mo2)
-    prod, psys = sp.separated_product(mo2, mo2)
-    W = list(lat.automorphisms(mo2, sys2, mode="ortho"))
-    C = con.CRelation.from_adjacency(mo2, [[2], [3], [0], [1]])
+    mo2, sys2, prod, psys, W, C, _ = _mo2_setup()
 
     l2 = con.build_perp2(prod, C, C)
     ok = all(l2.rows[p] == prod.sharp_row(p)
@@ -555,12 +540,9 @@ def run_search(budget: int, seed: int, factor_n: int = 2) -> dict:
                 continue
         else:
             density = rng.uniform(0.2, 0.8)
-            rows = [0] * n
-            for p in range(n):
-                for q in range(p + 1, n):
-                    if rng.random() < density:
-                        rows[p] |= 1 << q
-                        rows[q] |= 1 << p
+            rows = _rows_from_pairs([0] * n, [
+                (p, q) for p in range(n) for q in range(p + 1, n)
+                if rng.random() < density])
         prod = sp.ProductSpace(mo, mo, rows, "candidate")
         failing = sp._first_failing_axiom(prod, msys, msys, W, W)
         if failing is not None:
@@ -571,8 +553,7 @@ def run_search(budget: int, seed: int, factor_n: int = 2) -> dict:
             counts["equal_as_p_lattice"] += 1
         else:
             counts["distinct_family"] += 1
-            hits.append([[p, q] for p in range(n) for q in range(p + 1, n)
-                         if rows[p] >> q & 1])
+            hits.append([list(e) for e in _pairs(rows)])
     return {"budget": budget, "seed": seed, "factor": f"mo{factor_n}",
             "counts": counts, "distinct_family_hits": hits,
             "conclusion": ("distinct-family candidate found"
@@ -585,11 +566,10 @@ def _twisted_sharp_rows(rng, mo, base):
     perm = list(range(mo.size))
     rng.shuffle(perm)
     f = con.FactorBijection(tuple(perm))
-    try:
-        f.validate(mo)
+    try:  # build_perp5 validates f on both factors, which are mo
+        return con.build_perp5(base, f, f).rows
     except ValueError:
         return None
-    return list(con.build_perp5(base, f, f).rows)
 
 
 @main.command()
@@ -612,7 +592,7 @@ def regenerate_fixtures(directory: Path) -> list:
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     mo2 = make_mo(2)
-    _, psys = sp.separated_product(mo2, mo2)
+    prod, psys = sp.separated_product(mo2, mo2)
     (directory / "mo2_mo2.clos.txt").write_text(dump_system(psys))
     written.append("mo2_mo2.clos.txt")
 
@@ -620,7 +600,6 @@ def regenerate_fixtures(directory: Path) -> list:
     (directory / "mo2_pow2.clos.txt").write_text(dump_system(mixed))
     written.append("mo2_pow2.clos.txt")
 
-    prod = sp.sharp(mo2, mo2)
     f = con.mo_pair_swap_bijection(2)
     l5sys = enumerate_closed(con.build_perp5(prod, f, f))
     (directory / "l5_mo2.clos.txt").write_text(dump_system(l5sys))

@@ -20,9 +20,9 @@ from .closure import ClosureSystem, EnumerationLimitError
 from .gf import field
 from .lattice import (apply_perm_mask, find_orthocomplementation, invert,
                       is_permutation)
-from .orthospace import OrthoSpace, _row_defect, make_mo, \
-    make_quadratic_line_space, projective_line_points
-from .sepprod import ProductSpace, separated_product
+from .orthospace import (OrthoSpace, _row_defect, _rows_from_pairs, make_mo,
+                         make_quadratic_line_space, projective_line_points)
+from .sepprod import ProductSpace, lift_product_map, separated_product
 
 
 @dataclass(frozen=True)
@@ -65,33 +65,29 @@ def _require_sharp(prod: ProductSpace):
         raise ValueError("builders start from the # product space")
 
 
-def build_perp2(prod: ProductSpace, C1: CRelation, C2: CRelation
-                ) -> ProductSpace:
-    """Relation with polar rows p^# ∪ C(p₁)×C(p₂)."""
+def _sharp_plus(prod, C1, C2, block, name) -> ProductSpace:
+    # rows p^# ∪ block(C(p₁), C(p₂))
     _require_sharp(prod)
     if C1.space != prod.left or C2.space != prod.right:
         raise ValueError("C-relations must live on the product factors")
-    rows = []
-    for p in range(prod.size):
-        i, j = prod.decode(p)
-        rows.append(prod.sharp_row(p)
-                    | rect(C1.rows[i], C2.rows[j], prod.right.size))
-    return ProductSpace(prod.left, prod.right, rows, "perp2")
+    rows = [prod.sharp_row(prod.encode(i, j)) | block(c1, c2)
+            for i, c1 in enumerate(C1.rows) for j, c2 in enumerate(C2.rows)]
+    return ProductSpace(prod.left, prod.right, rows, name)
+
+
+def build_perp2(prod: ProductSpace, C1: CRelation, C2: CRelation
+                ) -> ProductSpace:
+    """Relation with polar rows p^# ∪ C(p₁)×C(p₂)."""
+    return _sharp_plus(prod, C1, C2,
+                       lambda c1, c2: rect(c1, c2, prod.right.size), "perp2")
 
 
 def build_perp3(prod: ProductSpace, C1: CRelation, C2: CRelation
                 ) -> ProductSpace:
     """Relation with polar rows p^# ∪ C(p₁)×Σ₂ ∪ Σ₁×C(p₂)."""
-    _require_sharp(prod)
-    if C1.space != prod.left or C2.space != prod.right:
-        raise ValueError("C-relations must live on the product factors")
-    rows = []
-    for p in range(prod.size):
-        i, j = prod.decode(p)
-        rows.append(prod.sharp_row(p)
-                    | prod.cylinder1(C1.rows[i])
-                    | prod.cylinder2(C2.rows[j]))
-    return ProductSpace(prod.left, prod.right, rows, "perp3")
+    return _sharp_plus(prod, C1, C2,
+                       lambda c1, c2: prod.cylinder1(c1) | prod.cylinder2(c2),
+                       "perp3")
 
 
 @dataclass(frozen=True)
@@ -152,18 +148,12 @@ def build_perp4(prod: ProductSpace, data: PairingData) -> ProductSpace:
         raise ValueError("pairing construction needs a square product with "
                          "identified factors")
     data.validate(prod)
-    f = {}
-    for a in range(prod.left.size):
-        f[prod.encode(a, a)] = data.image_of_diagonal(prod, a)
-    rows = []
-    for p in range(prod.size):
-        row = prod.sharp_row(p)
-        if p in f:
-            row |= prod.sharp_row(f[p])
-        for q, fq in f.items():
-            if prod.sharp_row(p) >> fq & 1:
-                row |= 1 << q
-        rows.append(row)
+    # # is symmetric, so f(q) ∈ p^# iff p ∈ f(q)^#: the relation is # with
+    # each p in the domain of f related to f(p)^#, both ways
+    f = {prod.encode(a, a): data.image_of_diagonal(prod, a)
+         for a in range(prod.left.size)}
+    rows = _rows_from_pairs(prod.rows, [(p, q) for p, fp in f.items()
+                                        for q in ids(prod.sharp_row(fp))])
     return ProductSpace(prod.left, prod.right, rows, "perp4")
 
 
@@ -202,10 +192,8 @@ def build_perp5(prod: ProductSpace, f1: FactorBijection, f2: FactorBijection
     _require_sharp(prod)
     f1.validate(prod.left)
     f2.validate(prod.right)
-    rows = []
-    for p in range(prod.size):
-        i, j = prod.decode(p)
-        rows.append(prod.sharp_row(prod.encode(f1.perm[i], f2.perm[j])))
+    rows = [prod.sharp_row(q)
+            for q in lift_product_map(prod, f1.perm, f2.perm)]
     return ProductSpace(prod.left, prod.right, rows, "perp5")
 
 

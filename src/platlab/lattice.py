@@ -67,6 +67,15 @@ def apply_perm_mask(perm, mask):
     return out
 
 
+def _moved_row(rows, perm):
+    """The first atom p whose row perm does not carry onto rows[perm[p]],
+    or None: None iff perm keeps the relation."""
+    for p, q in enumerate(perm):
+        if apply_perm_mask(perm, rows[p]) != rows[q]:
+            return p
+    return None
+
+
 def is_closed_group(elements, degree) -> bool:
     es = set(elements)
     if tuple(range(degree)) not in es:
@@ -76,11 +85,12 @@ def is_closed_group(elements, degree) -> bool:
 
 
 def close_group(generators, degree):
-    """Group generated by ``generators`` under composition and inverse."""
+    """Group generated by ``generators``: their products, as a finite set
+    of permutations closed under composition is a group."""
     ident = tuple(range(degree))
     seen = {ident}
     frontier = [ident]
-    gens = [tuple(g) for g in generators] + [invert(g) for g in generators]
+    gens = [tuple(g) for g in generators]
     while frontier:
         nxt = []
         for p in frontier:
@@ -198,8 +208,7 @@ def _is_automorphism(space, sys, perm, mode):
     """Ortho mode reads ⊥ only (a permutation keeping ⊥ commutes with the
     polar, so it keeps the closed sets); lattice mode reads the family."""
     if mode == "ortho":
-        return all(apply_perm_mask(perm, space.rows[p]) == space.rows[perm[p]]
-                   for p in range(space.size))
+        return _moved_row(space.rows, perm) is None
     return all(apply_perm_mask(perm, m) in sys.sets for m in sys.sets)
 
 
@@ -218,7 +227,8 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho",
     j < k, ANDed with ``rows[image[j]]`` where k ⊥ j and with its
     complement where not; the relation is symmetric, so a complete
     permutation keeps ⊥.  Lattice mode maps the closed sets whose highest
-    atom is k as soon as k is placed.
+    atom is k as soon as k is placed: their parts below k once per node,
+    then each candidate's bit is added to those images.
     """
     if mode not in ("lattice", "ortho"):
         raise ValueError(f"unknown mode: {mode}")
@@ -286,12 +296,14 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho",
                     cand &= rows[image[j]]
                 else:
                     cand &= ~rows[image[j]]
+        else:
+            below = [apply_perm_mask(image, m ^ 1 << k) for m in by_top[k]]
         while cand:
             low = cand & -cand
             cand ^= low
             image[k] = low.bit_length() - 1
             if mode == "lattice" and not all(
-                    apply_perm_mask(image, m) in sys.sets for m in by_top[k]):
+                    pre | low in sys.sets for pre in below):
                 continue
             backtrack(k + 1, placed | low)
         image[k] = -1
@@ -329,12 +341,14 @@ def find_orthocomplementation(sys: ClosureSystem, max_elements=None):
 
     A family built by the ``ClosureSystem`` constructor, such as the tensor
     traces, is searched, and only then does ``max_elements`` limit the
-    closed sets: exhaustive backtracking over atom → coatom assignments,
-    a' being the meet of the coatoms assigned to the atoms below a.  An
-    orthocomplementation of an atomistic lattice is determined by its
-    restriction to the atoms, so None is exact there; on a lattice that is
-    not atomistic the search can miss one.  A fast necessary filter runs
-    first: the atom and coatom counts must match.
+    closed sets.  An orthocomplementation is a dual automorphism, so it maps
+    the atoms onto the coatoms and the join-irreducibles J onto the
+    meet-irreducibles M; two count filters run first.  Every member a is
+    the join of the j ∈ J below it, so a' = ∧{j' : j ≤ a}, and the search
+    backtracks over the assignments J → M; the answer is exact on every
+    lattice.  On an atomistic lattice J is the atoms.  A table built from
+    an assignment is antitone, so it is an orthocomplementation iff it is
+    an involution with a ∧ a' = ∅; a ∨ a' = (a' ∧ a)' = ∅' = Σ follows.
     """
     carrier = sys.carrier
     if sys.is_system_of(carrier):
@@ -346,17 +360,18 @@ def find_orthocomplementation(sys: ClosureSystem, max_elements=None):
         raise EnumerationLimitError(
             f"system has {len(sys)} elements, search limit {max_elements}; "
             "raise it by setting platlab.lattice.ORTHOCOMPLEMENT_SEARCH_LIMIT")
-    atoms = sys.atoms()
-    coatoms = sys.coatoms()
-    if len(atoms) != len(coatoms):
+    if len(sys.atoms()) != len(sys.coatoms()):
+        return None
+    joins, meets = _irreducibles(sys)
+    if len(joins) != len(meets):
         return None
 
     assign = {}
 
     def consistent(a, c):
-        if a & ~c == 0:  # would give a ∧ a' = a ≠ ∅
+        if a & c:  # a ∧ a' ≠ ∅
             return False
-        # no a ∨ c = Σ test: only c and Σ contain the coatom c, and a ⊄ c
+        # b ≤ a' iff a ≤ b', and ' is one to one
         for b, cb in assign.items():
             if ((b & ~c == 0) != (a & ~cb == 0)) or cb == c:
                 return False
@@ -366,22 +381,20 @@ def find_orthocomplementation(sys: ClosureSystem, max_elements=None):
         table = {}
         for m in sys.masks:
             img = sys.carrier.full  # a meet of members, so a member
-            for a in atoms:
+            for a in joins:
                 if a & ~m == 0:
                     img &= assign[a]
             table[m] = img
         for m, im in table.items():
             if table[im] != m or m & im != 0:
                 return None
-            if sys.join_mask(m | im) != sys.carrier.full:
-                return None
         return table
 
     def backtrack(k):
-        if k == len(atoms):
+        if k == len(joins):
             return build_map()
-        a = atoms[k]
-        for c in coatoms:
+        a = joins[k]
+        for c in meets:
             if consistent(a, c):
                 assign[a] = c
                 result = backtrack(k + 1)
@@ -393,13 +406,41 @@ def find_orthocomplementation(sys: ClosureSystem, max_elements=None):
     return backtrack(0)
 
 
-def analysis_report(space, sys: ClosureSystem, aut_limit=12) -> dict:
-    """Bundle of the structural verdicts, JSON-shaped."""
+def _irreducibles(sys: ClosureSystem):
+    """The join- and the meet-irreducible members, in canonical order, off
+    the order core, with O(n) big-int operations per member.
+
+    Every member is the join of the least members holding its atoms, so a
+    join-irreducible is the least member c holding some atom; such a c is
+    join-irreducible iff the atoms of c whose least member is not c join to
+    less than c.  A member m is meet-irreducible iff its strict supersets
+    have a least one, which is then the first of them in canonical order.
+    """
+    masks = sys.masks
+    least = []  # atom p -> the least member holding p
+    for p in range(sys.carrier.size):
+        up = sys.up_set(1 << p)
+        least.append(masks[(up & -up).bit_length() - 1])
+    joins = [c for c in sorted(set(least), key=sys.index.__getitem__)
+             if sys.join_mask(sum(1 << q for q in ids(c) if least[q] != c))
+             != c]
+    meets = []
+    for i, m in enumerate(masks):
+        above = sys.up_set(m) ^ 1 << i
+        if above and above & ~sys.up_set(
+                masks[(above & -above).bit_length() - 1]) == 0:
+            meets.append(m)
+    return joins, meets
+
+
+def analysis_report(space, sys: ClosureSystem) -> dict:
+    """Bundle of the structural verdicts, JSON-shaped; ``aut_order`` is None
+    where the automorphism search refuses the carrier."""
     _require_own_system(space, sys)
     cov = covering_property(sys)
     om = orthomodularity(space, sys)
     cen = center(sys, space)
-    if space.size <= aut_limit:
+    if space.size <= AUTOMORPHISM_SEARCH_LIMIT:
         aut_order = len(automorphisms(space, sys, mode="ortho"))
     else:
         aut_order = None

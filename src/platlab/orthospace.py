@@ -42,15 +42,7 @@ class OrthoSpace:
         return bool(self.rows[p] >> q & 1)
 
     def pairs(self):
-        """Related pairs (i, j) with i < j; by symmetry, every pair once."""
-        out = []
-        for i, row in enumerate(self.rows):
-            m = row >> (i + 1) << (i + 1)
-            while m:
-                low = m & -m
-                out.append((i, low.bit_length() - 1))
-                m ^= low
-        return out
+        return _pairs(self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, OrthoSpace)
@@ -72,8 +64,16 @@ class RelationReport:
         return self.separating.holds
 
 
-def _rows_from_pairs(n, pairs):
-    rows = [0] * n
+def _pairs(rows):
+    """Related pairs (i, j) with i < j, ascending; by symmetry, every pair
+    once."""
+    return [(i, j) for i, row in enumerate(rows)
+            for j in ids(row >> (i + 1) << (i + 1))]
+
+
+def _rows_from_pairs(rows, pairs):
+    """A copy of ``rows`` with each pair (i, j) related both ways."""
+    rows = list(rows)
     for i, j in pairs:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
@@ -87,8 +87,8 @@ def make_mo(n: int) -> OrthoSpace:
     labels = []
     for i in range(1, n + 1):
         labels += [f"a{i}", f"a{i}'"]
-    rows = _rows_from_pairs(2 * n, [(2 * i, 2 * i + 1) for i in range(n)])
-    return OrthoSpace(labels, rows)
+    return OrthoSpace(labels, _rows_from_pairs(
+        [0] * 2 * n, [(2 * i, 2 * i + 1) for i in range(n)]))
 
 
 def make_powerset_space(n: int) -> OrthoSpace:
@@ -133,7 +133,7 @@ def make_quadratic_line_space(q: int, lam: int) -> OrthoSpace:
         for j in range(i + 1, len(points)):
             if F.dot(u, points[j], weights) == 0:
                 pairs.append((i, j))
-    return OrthoSpace(labels, _rows_from_pairs(len(points), pairs))
+    return OrthoSpace(labels, _rows_from_pairs([0] * len(points), pairs))
 
 
 def _row_defect(rows):
@@ -211,7 +211,7 @@ def validate_relation(space: OrthoSpace) -> RelationReport:
 
 def dump_space(space: OrthoSpace) -> str:
     doc = {"atoms": list(space.labels),
-           "orth": [list(p) for p in sorted(space.pairs())]}
+           "orth": [list(p) for p in space.pairs()]}
     return json.dumps(doc, separators=(",", ":"))
 
 
@@ -233,7 +233,7 @@ def load_space(text: str) -> OrthoSpace:
     pairs = []
     for pos, entry in enumerate(doc["orth"]):
         if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(x, int) for x in entry)):
+                or not all(type(x) is int for x in entry)):
             raise SpaceFormatError(
                 f'"orth" entry {pos}: expected a pair of atom indices')
         i, j = entry
@@ -248,4 +248,4 @@ def load_space(text: str) -> OrthoSpace:
             raise SpaceFormatError(f'"orth" entry {pos}: duplicated pair {entry}')
         seen.add((i, j))
         pairs.append((i, j))
-    return OrthoSpace(atoms, _rows_from_pairs(n, pairs))
+    return OrthoSpace(atoms, _rows_from_pairs([0] * n, pairs))

@@ -17,10 +17,10 @@ from . import _kernel
 from .bits import ids, rect
 from .closure import (AtomSubset, CarrierMismatchError, ClosureSystem,
                       canonical_order, enumerate_closed)
-from .lattice import (_require_own_system, apply_perm_mask, automorphisms,
-                      invert, is_permutation)
+from .lattice import (_moved_row, _require_own_system, apply_perm_mask,
+                      automorphisms, invert, is_permutation)
 from .orthospace import (OrthoSpace, Verdict, _require_orthogonality,
-                         _separating)
+                         _rows_from_pairs, _separating)
 
 
 class ProductSpace:
@@ -62,9 +62,7 @@ class ProductSpace:
 
     def sharp_row(self, p: int) -> int:
         """p₁^⊥×Σ₂ ∪ Σ₁×p₂^⊥, from the factor relations (the # coatom)."""
-        i, j = self.decode(p)
-        return self.cylinder1(self.left.rows[i]) | \
-            self.cylinder2(self.right.rows[j])
+        return _sharp_rows(self.left, self.right)[p]
 
     def __eq__(self, other):
         return (isinstance(other, ProductSpace) and self.left == other.left
@@ -80,8 +78,8 @@ class ProductSpace:
 
 @lru_cache(maxsize=64)
 def _sharp_rows(left: OrthoSpace, right: OrthoSpace):
-    """The # row of every product atom, as sharp_row gives it, once per
-    pair of factor spaces (keyed by their labels and rows)."""
+    """The # row of every product atom, once per pair of factor spaces
+    (keyed by their labels and rows)."""
     n2 = right.size
     c1 = [rect(row, right.full, n2) for row in left.rows]
     c2 = [rect(left.full, row, n2) for row in right.rows]
@@ -260,13 +258,12 @@ def _check_p5(prod) -> Verdict:
 def _check_lifts_commute(prod, W1, W2) -> Verdict:
     """Does every lifted pair (u₁, u₂) commute with the polarity on atoms?
     P4* is P4 plus this."""
-    rows = prod.rows
     for u1, u2, perm, _ in _lift_table(tuple(W1), tuple(W2),
                                        prod.left.size, prod.right.size):
-        for p, q in enumerate(perm):
-            if apply_perm_mask(perm, rows[p]) != rows[q]:
-                return Verdict(False, {"u1": list(u1), "u2": list(u2),
-                                       "atom": p})
+        p = _moved_row(prod.rows, perm)
+        if p is not None:
+            return Verdict(False, {"u1": list(u1), "u2": list(u2),
+                                   "atom": p})
     return Verdict(True, None)
 
 
@@ -364,7 +361,7 @@ def p_hash_components(prod: ProductSpace, p: int):
     for j in range(prod.right.size):
         if prod.cylinder2(1 << j) & ~perp == 0:
             s2 |= 1 << j
-    k = sum(1 for q in range(prod.size) if prod.sharp_row(q) & ~perp == 0)
+    k = sum(row & ~perp == 0 for row in _sharp_rows(prod.left, prod.right))
     return AtomSubset(prod.left, s1), AtomSubset(prod.right, s2), k
 
 
@@ -415,10 +412,7 @@ def daniel_lift(f, L1sys: ClosureSystem, L2sys: ClosureSystem) -> LatticeMap:
             raise DanielConditionError(ids(bm), ids(pre))
     table = {}
     for am in L1sys.masks:
-        img = 0
-        for p in ids(am):
-            img |= 1 << f[p]
-        table[am] = L2sys.join_mask(img)
+        table[am] = L2sys.join_mask(apply_perm_mask(f, am))
     for am in L1sys.masks:
         for bm in L1sys.masks:
             j = L1sys.join_mask(am | bm)
@@ -507,11 +501,8 @@ def perturbation_test(left: OrthoSpace, right: OrthoSpace, trials: int = 500,
     contradictions = []
     for _ in range(trials):
         pairs = default_edge_sampler(rng, base)
-        rows = list(base.rows)
-        for p, q in pairs:
-            rows[p] |= 1 << q
-            rows[q] |= 1 << p
-        prod = ProductSpace(left, right, rows, "sharp+E")
+        prod = ProductSpace(left, right, _rows_from_pairs(base.rows, pairs),
+                            "sharp+E")
         failing = _first_failing_axiom(prod, L1sys, L2sys, W1, W2)
         if failing is None:
             eq4_holds = all(

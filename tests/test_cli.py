@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +11,9 @@ from platlab import sepprod as sp_module
 from platlab.cli import main, regenerate_fixtures, run_search, run_verify_suite
 
 runner = CliRunner()
+# outputs of plat product, check and search that the commands must keep
+# printing byte for byte, and the space and relation documents they read
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def invoke(*args):
@@ -90,6 +94,46 @@ def test_check_rejects_bad_document(tmp_path):
     res = invoke("check", "--relation", str(rel))
     assert res.exit_code == 2
     assert "bad relation document" in res.output
+
+
+@pytest.mark.parametrize("pair", [[True, 2], [0, 3.0]])
+def test_check_rejects_bool_and_float_indices(tmp_path, pair):
+    mo2 = json.loads(dump_space(make_mo(2)))
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps({"left": mo2, "right": mo2,
+                               "pairs": [pair, [0, 3]]}))
+    _usage_error(invoke("check", "--relation", str(rel)),
+                 "bad relation document", "pair is not two atom indices")
+
+
+def test_check_rejects_an_out_of_range_pair(tmp_path):
+    mo2 = json.loads(dump_space(make_mo(2)))
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps({"left": mo2, "right": mo2,
+                               "pairs": [[0, 16]]}))
+    _usage_error(invoke("check", "--relation", str(rel)),
+                 "bad relation document",
+                 "pair is not two atom indices of the 16-atom product")
+
+
+@pytest.mark.parametrize("args,golden", [
+    (["product"], "product_mo2_mo2.json"),
+    (["product", "--enumerate"], "../../fixtures/mo2_mo2.clos.txt"),
+    (["check", "--relation", "sharp_mo2_mo2.relation.json"],
+     "check_sharp_mo2_mo2.json"),
+] + [(["search", "--budget", "300", "--seed", str(seed), "--factor-n",
+       str(n)], f"search_b300_s{seed}_f{n}.json")
+     for seed in (0, 1) for n in (1, 2)])
+def test_outputs_equal_the_golden_files(tmp_path, args, golden):
+    if args[0] == "product":
+        mo2 = str(GOLDEN / "mo2.ospace.json")
+        args = args + ["--left", mo2, "--right", mo2]
+    elif args[0] == "check":
+        args = ["check", "--relation", str(GOLDEN / args[2])]
+    out = tmp_path / "out"
+    res = invoke(*args, "-o", str(out))
+    assert res.exit_code == 0, res.output
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 @pytest.mark.parametrize("suite", ["closure", "theorem1", "theorem2",

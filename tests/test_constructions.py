@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import product
 
 import pytest
@@ -153,6 +154,33 @@ def test_perp4_builds_and_reports(setup, mo2_sys):
     assert rep["P2"]["holds"] is False
     assert rep["P4"]["holds"] is False
     assert rep["P4star"] == rep["P4"]
+
+
+def test_perp4_rows_match_the_defining_formula(setup):
+    # p^# ∪ f(p)^# ∪ f⁻¹(p^#), pointwise, for seeded pairings of the
+    # diagonal atoms (a, a) of MO2 × MO2 with one target each
+    prod = setup[0]
+    rng = random.Random(0)
+    built = 0
+    for _ in range(400):
+        targets = [rng.randrange(prod.size) for _ in range(4)]
+        data = PairingData(((0,), (1,), (2,), (3,)),
+                           tuple({a: t} for a, t in enumerate(targets)))
+        try:
+            data.validate(prod)
+        except ValueError:
+            continue
+        rel = build_perp4(prod, data)
+        built += 1
+        f = {prod.encode(a, a): t for a, t in enumerate(targets)}
+        for p in range(prod.size):
+            want = prod.sharp_row(p) | sum(
+                1 << q for q, fq in f.items() if prod.sharp_row(p) >> fq & 1)
+            if p in f:
+                want |= prod.sharp_row(f[p])
+            assert rel.rows[p] == want
+    # each (a, a) has 9 of its 16 targets outside (a, a)^#
+    assert built > 20
 
 
 def test_factor_bijection_validation(mo2):

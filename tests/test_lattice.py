@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from platlab import (enumerate_closed, make_mo, make_powerset_space,
@@ -132,7 +134,8 @@ def test_analysis_report_shape(mo2, mo2_sys, mo2_product):
     assert rep["center_size"] == 2
     assert rep["irreducible"] is True
     assert rep["orthocomplementation"] == "found"
-    assert rep["aut_order"] is None  # 16 atoms is past the default limit
+    # 16 atoms: at AUTOMORPHISM_SEARCH_LIMIT, so the search runs
+    assert rep["aut_order"] == 128
 
     rep = analysis_report(mo2, mo2_sys)
     assert rep["covering"]["holds"] and rep["orthomodular"]["holds"]
@@ -179,3 +182,34 @@ def test_lattice_automorphisms_accept_an_explicit_family(mo2, mo2_sys):
 def test_generators_must_be_int_permutations(mo2, mo2_sys, bad):
     with pytest.raises(ValueError, match="not a permutation of 4 atoms"):
         automorphisms(mo2, mo2_sys, mode="ortho", generators=[bad])
+
+
+def test_analysis_report_reads_the_automorphism_search_limit(
+        monkeypatch, mo2_product):
+    # the order is reported exactly where the search accepts the carrier
+    prod, psys = mo2_product
+    monkeypatch.setattr(lattice, "AUTOMORPHISM_SEARCH_LIMIT", prod.size - 1)
+    assert analysis_report(prod, psys)["aut_order"] is None
+
+
+def _close_with_inverses(generators, degree):
+    # the closure close_group made before it dropped the inverse generators
+    seen = {tuple(range(degree))}
+    frontier = list(seen)
+    gens = [tuple(g) for g in generators] + [invert(g) for g in generators]
+    while frontier:
+        frontier = [r for r in {compose(g, p) for p in frontier for g in gens}
+                    if r not in seen]
+        seen.update(frontier)
+    return sorted(seen)
+
+
+def test_close_group_needs_no_inverse_generators():
+    rng = random.Random(0)
+    for _ in range(30):
+        gens = []
+        for _ in range(rng.randrange(4)):
+            g = list(range(5))
+            rng.shuffle(g)
+            gens.append(g)
+        assert close_group(gens, 5) == _close_with_inverses(gens, 5)

@@ -12,8 +12,13 @@ products, and the explicit join against the meet of the supersets.
 
 ``orthomodularity``, ``center`` and the polar table of
 ``find_orthocomplementation`` are checked on the same relations against
-oracles that follow their definitions over the 2^Σ brute-force family, and
-``automorphisms`` against all n! atom permutations on up to 8 atoms.  On the
+oracles that follow their definitions over the 2^Σ brute-force family.
+The search of ``find_orthocomplementation`` must find an
+orthocomplementation on every relation system given as an explicit family,
+and on small random families it must answer as an element-by-element
+search does; the join- and meet-irreducibles it assigns are checked
+against their definitions.  ``automorphisms`` is checked
+against all n! atom permutations on up to 8 atoms.  On the
 products MO_n × MO_m the polar table is checked against the backtracking
 search, run on the same sets as an explicit family.  On a few products,
 relabelled ones and one where both laws hold, ``covering_property`` and
@@ -23,7 +28,9 @@ each atom from a scan over all atoms.
 """
 
 import random
+from functools import reduce
 from itertools import permutations
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +148,54 @@ def old_automorphisms(space, sys, mode):
     return tuple(sorted(found))
 
 
+def old_irreducibles(sys):
+    """By definition: m ≠ ∅ is join-irreducible iff it is not the join of
+    the members strictly below it, m ≠ Σ meet-irreducible iff it is not the
+    meet of those strictly above it."""
+    masks, full = sys.masks, sys.carrier.full
+    joins = [m for m in masks if m and sys.join_mask(reduce(
+        or_, (x for x in masks if x != m and x & ~m == 0), 0)) != m]
+    meets = [m for m in masks if m != full and reduce(
+        and_, (x for x in masks if x != m and m & ~x == 0), full) != m]
+    return joins, meets
+
+
+def is_orthocomplementation(sys, table):
+    """An antitone involution of the members with a ∧ a' = ∅, a ∨ a' = Σ."""
+    masks, full = sys.masks, sys.carrier.full
+    return sorted(table) == sorted(masks) and all(
+        table[table[a]] == a and a & table[a] == 0
+        and sys.join_mask(a | table[a]) == full
+        and all(table[b] & ~table[a] == 0 for b in masks if a & ~b == 0)
+        for a in masks)
+
+
+def oracle_has_orthocomplementation(sys):
+    """Element by element: a' for each member a in canonical order, taken
+    from the members disjoint from a, kept while the partial map stays an
+    antitone involution."""
+    masks = sys.masks
+    table = {}
+
+    def extend(k):
+        if k == len(masks):
+            return is_orthocomplementation(sys, table)
+        a = masks[k]
+        if a in table:
+            return extend(k + 1)
+        for b in masks:
+            if a & b or b in table:
+                continue
+            table[a], table[b] = b, a
+            if all(table[y] & ~table[x] == 0 for x in table for y in table
+                   if x & ~y == 0) and extend(k + 1):
+                return True
+            table.pop(a), table.pop(b, None)  # b is a when a = ∅
+        return False
+
+    return extend(0)
+
+
 def canonical_key(mask):
     """Cardinality, then the ascending index tuple."""
     key = ids(mask)
@@ -206,6 +261,7 @@ def _agree_with_oracles(sys, rnd):
         assert sys.down_set(m) == sum(1 << j for j, x in enumerate(sys.masks)
                                       if x & ~m == 0)
     assert sys.coatoms() == old_coatoms(sys)
+    assert lattice._irreducibles(sys) == old_irreducibles(sys)
     assert sys.atoms() == old_minimal_nonzero(sys)
     down, up = old_degree_profiles(sys)
     assert sorted(sys.down_set(m).bit_count() for m in sys.masks) == down
@@ -393,18 +449,46 @@ def test_polar_table_is_an_orthocomplementation(space):
                 assert table[b] & ~ca == 0
 
 
-def test_polar_table_where_the_search_finds_none():
+def test_polar_table_and_the_search_agree_on_the_hexagon():
     # the hexagon: ∅ < {2} < {0,2} < Σ and ∅ < {3} < {1,3} < Σ.  It is not
-    # atomistic, so the search, which fixes a' from the atoms below a,
-    # misses its orthocomplementation
+    # atomistic; the search, which fixes a' from the join-irreducibles
+    # below a, finds the polar table
     space = OrthoSpace(["a", "b", "c", "d"], [0b1000, 0b0100, 0b1010, 0b0101])
     sys = enumerate_closed(space)
     assert sys.masks == [0, 0b0100, 0b1000, 0b0101, 0b1010, 0b1111]
-    assert find_orthocomplementation(sys) == {
-        0: 0b1111, 0b0100: 0b1010, 0b1000: 0b0101, 0b0101: 0b1000,
-        0b1010: 0b0100, 0b1111: 0}
+    polar = {0: 0b1111, 0b0100: 0b1010, 0b1000: 0b0101, 0b0101: 0b1000,
+             0b1010: 0b0100, 0b1111: 0}
+    assert find_orthocomplementation(sys) == polar
     family = ClosureSystem(space, sys.masks)
-    assert find_orthocomplementation(family) is None
+    assert find_orthocomplementation(family) == polar
+
+
+@SETTINGS
+@given(relations(max_atoms=8))
+def test_search_finds_an_orthocomplementation_on_every_relation_system(
+        space):
+    # a relation system has one (the polar map); as an explicit family,
+    # atomistic or not, it is searched, and the search must find one
+    family = ClosureSystem(space, enumerate_closed(space).masks)
+    table = find_orthocomplementation(family, max_elements=len(family))
+    assert table is not None and is_orthocomplementation(family, table)
+
+
+@st.composite
+def small_families(draw):
+    n = draw(st.integers(1, 5))
+    fam = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    return OrthoSpace([f"x{i}" for i in range(n)], [0] * n), fam
+
+
+@SETTINGS
+@given(small_families())
+def test_search_answers_as_the_element_by_element_search(spec):
+    sys = _explicit(*spec)
+    table = find_orthocomplementation(sys)
+    assert (table is not None) == oracle_has_orthocomplementation(sys)
+    if table is not None:
+        assert is_orthocomplementation(sys, table)
 
 
 @pytest.mark.parametrize("rows,message", [

@@ -175,3 +175,12 @@ def test_load_rejects_bad_entries():
         load_space(doc(orth=[[0]]))
     with pytest.raises(SpaceFormatError, match="atoms"):
         load_space(json.dumps({"orth": []}))
+
+
+@pytest.mark.parametrize("entry", [[False, True], [0, 1.0], [0.0, 1]])
+def test_load_rejects_bool_and_float_indices(entry):
+    # a bool or a float equal to an index is not one
+    doc = json.dumps({"atoms": ["a", "b"], "orth": [entry]})
+    with pytest.raises(SpaceFormatError,
+                       match="entry 0: expected a pair of atom indices"):
+        load_space(doc)
