@@ -32,9 +32,9 @@ from . import sepprod as sp
 from .bits import rect
 from .closure import (atom_limit, brute_force_closed, dump_system,
                       enumerate_closed, AtomSubset, biclosure, polar)
-from .orthospace import (_pairs, _rows_from_pairs, _separating, dump_space,
-                         load_space, make_mo, make_powerset_space,
-                         make_quadratic_line_space)
+from .orthospace import (_pairs, _rows_from_pairs, _separating,
+                         _space_from_doc, dump_space, load_space, make_mo,
+                         make_powerset_space, make_quadratic_line_space)
 
 FIXTURE_DIR = Path("fixtures")
 
@@ -132,8 +132,8 @@ def check(relation, w1, w2, out):
     """Run the axiom report for a candidate product relation."""
     try:
         doc = json.loads(Path(relation).read_text())
-        left = load_space(json.dumps(doc["left"]))
-        right = load_space(json.dumps(doc["right"]))
+        left = _space_from_doc(doc["left"])
+        right = _space_from_doc(doc["right"])
         n = left.size * right.size
         for p, q in doc["pairs"]:
             if not all(type(x) is int and 0 <= x < n for x in (p, q)):
@@ -526,7 +526,6 @@ def run_search(budget: int, seed: int, factor_n: int = 2) -> dict:
     msys = enumerate_closed(mo)
     W = list(lat.automorphisms(mo, msys, mode="ortho"))
     base, base_sys = sp.separated_product(mo, mo)
-    base_dump = dump_system(base_sys)
     rng = random.Random(seed)
     counts = {"invalid": 0, "fails_axiom": 0, "equal_as_p_lattice": 0,
               "distinct_family": 0}
@@ -548,8 +547,7 @@ def run_search(budget: int, seed: int, factor_n: int = 2) -> dict:
         if failing is not None:
             counts["fails_axiom"] += 1
             continue
-        cand_dump = dump_system(enumerate_closed(prod))
-        if cand_dump == base_dump:
+        if enumerate_closed(prod).sets == base_sys.sets:
             counts["equal_as_p_lattice"] += 1
         else:
             counts["distinct_family"] += 1

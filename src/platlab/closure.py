@@ -15,13 +15,12 @@ from functools import cached_property
 from . import _kernel
 from .bits import REVERSED_BYTES, ids
 
-DEFAULT_ATOM_LIMIT = 64
 DEFAULT_SET_LIMIT = 5_000_000
 BRUTE_FORCE_ATOM_LIMIT = 20
 
 
 def atom_limit() -> int:
-    return int(os.environ.get("PLAT_LIMIT_ATOMS", DEFAULT_ATOM_LIMIT))
+    return int(os.environ.get("PLAT_LIMIT_ATOMS", 64))
 
 
 class CarrierMismatchError(ValueError):

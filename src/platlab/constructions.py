@@ -10,7 +10,7 @@ decide, not assumed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 # unused here, but the benchmark tracer swaps this binding for a traced
 # kernel, so removing it breaks `perfbench/run.py --trace 1`
@@ -20,8 +20,9 @@ from .closure import ClosureSystem, EnumerationLimitError
 from .gf import field
 from .lattice import (apply_perm_mask, find_orthocomplementation, invert,
                       is_permutation)
-from .orthospace import (OrthoSpace, _row_defect, _rows_from_pairs, make_mo,
-                         make_quadratic_line_space, projective_line_points)
+from .orthospace import (OrthoSpace, _require_orthogonality, _rows_from_pairs,
+                         make_mo, make_quadratic_line_space,
+                         projective_line_points)
 from .sepprod import ProductSpace, lift_product_map, separated_product
 
 
@@ -34,16 +35,7 @@ class CRelation:
     def __post_init__(self):
         if len(self.rows) != self.space.size:
             raise ValueError("C-relation rows do not match the factor size")
-        defect = _row_defect(self.rows)
-        if defect is not None:
-            p, q = defect
-            if p == q:
-                raise ValueError(f"invalid C data: {p} ∈ C({p})")
-            if q >= len(self.rows):
-                raise ValueError(f"invalid C data: C({p}) holds {q}, "
-                                 "not a factor atom")
-            raise ValueError(
-                f"invalid C data: {q} ∈ C({p}) but {p} ∉ C({q})")
+        _require_orthogonality(self.rows, "C data")
 
     @classmethod
     def from_adjacency(cls, space: OrthoSpace, lists) -> "CRelation":
@@ -274,15 +266,7 @@ class L0Report:
     orthocomplementation: str
 
     def to_json(self) -> dict:
-        return {
-            "trace_count": self.trace_count,
-            "intersection_closed": self.intersection_closed,
-            "contains_sepprod": self.contains_sepprod,
-            "strict": self.strict,
-            "strictness_witness": self.strictness_witness,
-            "triples": self.triples,
-            "orthocomplementation": self.orthocomplementation,
-        }
+        return asdict(self)
 
 
 def tensor_trace_lattice(q: int, lam: int):
@@ -295,11 +279,9 @@ def tensor_trace_lattice(q: int, lam: int):
     the trace family as a ClosureSystem over the # product carrier, plus a
     report on how the family relates to the separated product.
     """
-    factor = make_quadratic_line_space(q, lam)  # raises if isotropic
+    factor = make_quadratic_line_space(q, lam)  # raises unless 0 < λ < q
     F = field(q)
     weights = (1, lam, lam, F.mul(lam, lam))
-    if any(w == 0 for w in weights):
-        raise ValueError("degenerate ambient tensor form")
     prod, sepsys = separated_product(factor, factor)
     states = _weighted_states(F, weights)
 

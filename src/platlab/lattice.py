@@ -266,12 +266,13 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho",
     same = {}  # profile -> the atoms that have it, as a mask
     for p, pr in enumerate(profs):
         same[pr] = same.get(pr, 0) | 1 << p
-    # lattice mode: the closed sets whose highest atom is k are mapped, and
-    # must land in the family, as soon as atom k is placed
-    by_top = [[] for _ in range(n)]
-    for m in sys.sets:
-        if m:
-            by_top[m.bit_length() - 1].append(m)
+    if mode == "lattice":
+        # the closed sets whose highest atom is k are mapped, and must land
+        # in the family, as soon as atom k is placed
+        by_top = [[] for _ in range(n)]
+        for m in sys.sets:
+            if m:
+                by_top[m.bit_length() - 1].append(m)
     found = []
     image = [-1] * n
 
@@ -313,21 +314,10 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho",
 
 
 def is_transitive(group: PermutationGroup) -> bool:
-    """True iff the orbit of atom 0 under the group is every atom."""
-    if group.degree == 0:
-        return True
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in group.elements:
-                y = g[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(orbit) == group.degree
+    """True iff the orbit of atom 0, its images under the listed elements
+    (a PermutationGroup lists its whole group), is every atom."""
+    return (group.degree == 0
+            or len({g[0] for g in group.elements}) == group.degree)
 
 
 def find_orthocomplementation(sys: ClosureSystem, max_elements=None):

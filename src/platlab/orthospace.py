@@ -222,12 +222,20 @@ def load_space(text: str) -> OrthoSpace:
         raise SpaceFormatError(
             f"malformed space document at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}") from exc
+    return _space_from_doc(doc)
+
+
+def _space_from_doc(doc) -> OrthoSpace:
+    """The space of a decoded space document; SpaceFormatError if the
+    document is not one."""
     if not isinstance(doc, dict) or "atoms" not in doc or "orth" not in doc:
         raise SpaceFormatError('space document needs "atoms" and "orth" keys')
     atoms = doc["atoms"]
     if (not isinstance(atoms, list) or not atoms
             or not all(isinstance(a, str) for a in atoms)):
         raise SpaceFormatError('"atoms" must be a nonempty list of strings')
+    if not isinstance(doc["orth"], list):
+        raise SpaceFormatError('"orth" must be a list of atom index pairs')
     n = len(atoms)
     seen = set()
     pairs = []

@@ -13,10 +13,10 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import _kernel
+from . import _kernel, lattice
 from .bits import ids, rect
 from .closure import (AtomSubset, CarrierMismatchError, ClosureSystem,
-                      canonical_order, enumerate_closed)
+                      EnumerationLimitError, canonical_order, enumerate_closed)
 from .lattice import (_moved_row, _require_own_system, apply_perm_mask,
                       automorphisms, invert, is_permutation)
 from .orthospace import (OrthoSpace, Verdict, _require_orthogonality,
@@ -217,6 +217,18 @@ def _lift_table(W1, W2, n1, n2):
     return tuple(table)
 
 
+def _lifts(prod, W1, W2):
+    """_lift_table for prod's factors, refused above GROUP_SIZE_LIMIT lifts.
+    The bound is read on every call, so a table cached under a higher limit
+    is refused too."""
+    limit = lattice.GROUP_SIZE_LIMIT
+    if len(W1) * len(W2) > limit:
+        raise EnumerationLimitError(
+            f"W1 x W2 has {len(W1) * len(W2)} lifts, limit {limit}; raise it "
+            "by setting platlab.lattice.GROUP_SIZE_LIMIT")
+    return _lift_table(tuple(W1), tuple(W2), prod.left.size, prod.right.size)
+
+
 def _check_p4(prod, sys, W1, W2) -> Verdict:
     """Does every lift of W₁ × W₂ keep the closed sets?  The first lift in
     order that moves a set out fails, with the canonical-first such set.
@@ -226,11 +238,11 @@ def _check_p4(prod, sys, W1, W2) -> Verdict:
     polar rows, and a lift keeps Σ and meets, so it keeps the family iff it
     maps every row p^⊥ into ``sys.sets``.  Each lift is decided on the n
     rows; ``first`` scans the family only on the lift that moves a row out,
-    to pick the witness.  The lifts come from the cached lift table.
+    to pick the witness.  The lifts come from the cached lift table, of at
+    most GROUP_SIZE_LIMIT lifts.
     """
     sets = sys.sets
-    for u1, u2, _, images in _lift_table(tuple(W1), tuple(W2),
-                                         prod.left.size, prod.right.size):
+    for u1, u2, _, images in _lifts(prod, W1, W2):
         def moved_out(m):  # apply_perm_mask inlined: one call per set
             image = 0
             while m:
@@ -258,8 +270,7 @@ def _check_p5(prod) -> Verdict:
 def _check_lifts_commute(prod, W1, W2) -> Verdict:
     """Does every lifted pair (u₁, u₂) commute with the polarity on atoms?
     P4* is P4 plus this."""
-    for u1, u2, perm, _ in _lift_table(tuple(W1), tuple(W2),
-                                       prod.left.size, prod.right.size):
+    for u1, u2, perm, _ in _lifts(prod, W1, W2):
         p = _moved_row(prod.rows, perm)
         if p is not None:
             return Verdict(False, {"u1": list(u1), "u2": list(u2),
@@ -350,9 +361,9 @@ def p_hash_components(prod: ProductSpace, p: int):
     """Factor shadows of the polar of p under the active relation.
 
     Returns (s₁, s₂, k): s₁ = {q₁ : q₁×Σ₂ ⊆ p^⊥}, symmetrically s₂, and
-    k = |{q : q's # coatom ⊆ p^⊥}| (k > 1 signals a P3 failure).
-    """
-    perp = _kernel.polar(prod.rows, 1 << p, prod.full)
+    k = |{q : q's # coatom ⊆ p^⊥}| (k > 1 signals a P3 failure); p^⊥ is
+    the row of p."""
+    perp = prod.rows[p]
     s1 = 0
     for i in range(prod.left.size):
         if prod.cylinder1(1 << i) & ~perp == 0:

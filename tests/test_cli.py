@@ -302,9 +302,11 @@ def test_check_rejects_a_float_in_w(tmp_path):
     ["space", "mo", "--n", "2", "-o", "{tmp}/missing/x.json"],
     ["verify", "--suite", "closure", "-o", "{tmp}/missing/x.json"],
     ["fixtures", "--regen", "--dir", "{tmp}/file/sub"],
+    ["product", "--left", "{tmp}/null.json", "--right", "{tmp}/null.json"],
 ])
 def test_value_and_os_errors_exit_2(args, tmp_path):
     (tmp_path / "file").write_text("")
+    (tmp_path / "null.json").write_text('{"atoms": ["a"], "orth": null}')
     res = invoke(*(a.format(tmp=tmp_path) for a in args))
     _usage_error(res)
     assert sum(line.startswith("Error:")

@@ -142,6 +142,64 @@ def test_analysis_report_shape(mo2, mo2_sys, mo2_product):
     assert rep["aut_order"] == 8
 
 
+def _orbit_of_0_is_everything(group):
+    """The BFS oracle: the orbit of atom 0, grown by the elements until no
+    new atom is reached, whether or not they list a whole group."""
+    if group.degree == 0:
+        return True
+    orbit = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in group.elements:
+                y = g[x]
+                if y not in orbit:
+                    orbit.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(orbit) == group.degree
+
+
+def _listed_groups():
+    for n in (1, 2, 3):
+        mo = make_mo(n)
+        yield f"mo{n} ortho", automorphisms(mo, enumerate_closed(mo))
+    pow3 = make_powerset_space(3)
+    yield "powerset3 lattice", automorphisms(pow3, enumerate_closed(pow3),
+                                             mode="lattice")
+    prod, psys = separated_product(make_mo(2), make_mo(2))
+    yield "mo2xmo2 ortho", automorphisms(prod, psys)
+    rng = random.Random(0)
+    for degree in range(1, 7):
+        for _ in range(8):
+            gens = []
+            for _ in range(rng.randint(1, 2)):
+                perm = list(range(degree))
+                # a transposition or a random permutation, so some groups
+                # move atom 0 and some do not
+                if rng.random() < 0.5 and degree > 1:
+                    i, j = rng.sample(range(degree), 2)
+                    perm[i], perm[j] = perm[j], perm[i]
+                else:
+                    rng.shuffle(perm)
+                gens.append(tuple(perm))
+            yield (f"degree {degree} {gens}",
+                   PermutationGroup(degree, tuple(close_group(gens, degree))))
+    yield "negative", PermutationGroup(3, ((0, 1, 2), (0, 2, 1)))
+
+
+def test_transitivity_matches_the_orbit_search():
+    groups = list(_listed_groups())
+    answers = set()
+    for name, group in groups:
+        want = _orbit_of_0_is_everything(group)
+        assert is_transitive(group) is want, name
+        answers.add(want)
+    assert answers == {True, False}
+    assert len(dict(groups)["mo2xmo2 ortho"]) == 128
+
+
 def test_transitivity_negative():
     g = PermutationGroup(3, ((0, 1, 2), (0, 2, 1)))
     assert not is_transitive(g)

@@ -177,6 +177,14 @@ def test_load_rejects_bad_entries():
         load_space(json.dumps({"orth": []}))
 
 
+@pytest.mark.parametrize("orth", [None, 7])
+def test_load_rejects_an_orth_that_is_not_a_list(orth):
+    doc = json.dumps({"atoms": ["a", "b"], "orth": orth})
+    with pytest.raises(SpaceFormatError,
+                       match='"orth" must be a list of atom index pairs'):
+        load_space(doc)
+
+
 @pytest.mark.parametrize("entry", [[False, True], [0, 1.0], [0.0, 1]])
 def test_load_rejects_bool_and_float_indices(entry):
     # a bool or a float equal to an index is not one

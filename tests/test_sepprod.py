@@ -9,9 +9,10 @@ from platlab import (AtomSubset, check_axioms, daniel_lift, dump_system,
                      enumerate_closed, lift_product_map, make_mo,
                      make_powerset_space, p_hash_components, p_sharp,
                      perturbation_test, separated_product, sharp)
-from platlab import sepprod
+from platlab import lattice, sepprod
 from platlab.bits import ids
-from platlab.closure import CarrierMismatchError, ClosureSystem
+from platlab.closure import (CarrierMismatchError, ClosureSystem,
+                             EnumerationLimitError, polar)
 from platlab.lattice import apply_perm_mask, automorphisms
 from platlab.orthospace import OrthoSpace, Verdict
 from platlab.sepprod import (DanielConditionError, ProductSpace,
@@ -113,6 +114,27 @@ def test_check_axioms_decides_p4_once(monkeypatch, mo2, mo2_sys,
     rep = check_axioms(prod, mo2_sys, mo2_sys, W, W, psys)
     assert rep.p4.holds and rep.p4star.holds
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("check", ["P4", "P4*"])
+def test_lift_table_is_refused_above_the_group_size_limit(
+        monkeypatch, check, mo2, mo2_sys, mo2_product):
+    prod, psys = mo2_product
+    W = list(automorphisms(mo2, mo2_sys, mode="ortho"))  # 8², 64 lifts
+    if check == "P4":
+        def run():
+            return sepprod._check_p4(prod, psys, W, W)
+    else:
+        def run():
+            return sepprod._check_lifts_commute(prod, W, W)
+    assert run().holds  # the table is built and cached
+    monkeypatch.setattr(lattice, "GROUP_SIZE_LIMIT", 63)
+    with pytest.raises(EnumerationLimitError,
+                       match="64 lifts, limit 63; raise it by setting "
+                             "platlab.lattice.GROUP_SIZE_LIMIT"):
+        run()
+    monkeypatch.setattr(lattice, "GROUP_SIZE_LIMIT", 64)
+    assert run().holds
 
 
 def test_axioms_vacuous_without_w(mo2, mo2_sys, mo2_product):
@@ -243,6 +265,9 @@ def test_p_hash_components(mo2_product):
     assert s1.bits == prod.left.rows[0]
     assert s2.bits == prod.right.rows[1]
     assert k == 1  # P3 holds: exactly its own coatom fits
+    # p_hash_components reads p^⊥ as the row of p
+    assert all(polar(prod, AtomSubset(prod, 1 << p)).bits == prod.rows[p]
+               for p in range(prod.size))
 
 
 def test_daniel_lift_failure_witness(mo2_sys, pow3_sys):
