@@ -9,7 +9,6 @@ intersection-closure of the per-atom polar rows plus the full set.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from functools import cached_property
 
 from . import _kernel
@@ -153,7 +152,9 @@ class ClosureSystem:
     ``masks``, the closed sets in canonical order (cardinality, then the
     ascending index tuple), and ``index``, which maps each one to its
     position, are built on first use.  ``first(pred)`` finds the
-    canonical-first member with a property without building that order.
+    canonical-first member with a property without building that order:
+    it scans the members size by size from n + 1 buckets, filled in one
+    pass on its first call.
     The constructor builds an explicit family (e.g. traces of subspaces);
     only ``enumerate_closed`` and ``brute_force_closed`` build a carrier's
     relation system, whose joins are biclosures.
@@ -201,22 +202,23 @@ class ClosureSystem:
 
     @cached_property
     def _by_size(self):
-        return sorted(self.sets, key=int.bit_count)
+        # bucket k holds the members of k atoms, in no particular order
+        buckets = [[] for _ in range(self.carrier.size + 1)]
+        for m in self.sets:
+            buckets[m.bit_count()].append(m)
+        return buckets
 
     def first(self, pred):
         """The first member m in canonical order with pred(m), or None.
 
-        The members are scanned by size, so ``masks`` is not built.  In the
-        first size that has a hit, canonical order puts a set with a lower
-        lowest atom first, so the rest of that size is tested only where
-        its lowest atom is no higher than the best hit's, and the canonical
-        tie-break runs only among the hits."""
-        by_size = self._by_size
-        start = 0
-        while start < len(by_size):
-            end = bisect_right(by_size, by_size[start].bit_count(), start,
-                               key=int.bit_count)
-            rest = iter(by_size[start:end])
+        The members are scanned size by size from one cached list of n + 1
+        buckets, so ``masks`` is not built.  In the first size that has a
+        hit, canonical order puts a set with a lower lowest atom first, so
+        the rest of that size is tested only where its lowest atom is no
+        higher than the best hit's, and the canonical tie-break runs only
+        among the hits."""
+        for bucket in self._by_size:
+            rest = iter(bucket)
             hit = next(filter(pred, rest), None)
             if hit is not None:
                 hits, low = [hit], hit & -hit
@@ -226,7 +228,6 @@ class ClosureSystem:
                         low = m & -m
                 return hit if len(hits) == 1 else min(
                     hits, key=_tie_key(self.carrier))
-            start = end
         return None
 
     def __len__(self):

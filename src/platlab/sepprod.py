@@ -177,14 +177,30 @@ def _check_p2_coatoms(prod, sys) -> Verdict:
     return Verdict(True, None)
 
 
-def _check_p3(prod, sys, L1sys, L2sys) -> Verdict:
+@lru_cache(maxsize=64)
+def _open_cylinders(left, right, sets1, sets2):
+    """(the open cylinders, {cylinder: (side, base)}): a₁×Σ₂ (side 1) for
+    every a₁ ⊆ Σ₁ outside the factor family ``sets1``, and Σ₁×a₂ (side 2)
+    for every a₂ ⊆ Σ₂ outside ``sets2``; once per pair of factor spaces and
+    pair of factor ``sets``.  Walks all 2^n₁ + 2^n₂ bases."""
+    n2 = right.size
+    bases = {rect(a1, right.full, n2): (1, a1)
+             for a1 in range(1 << left.size) if a1 not in sets1}
+    bases.update((rect(left.full, a2, n2), (2, a2))
+                 for a2 in range(1 << n2) if a2 not in sets2)
+    return frozenset(bases), bases
+
+
+def _scan_open_cylinders(prod, sys, L1sys, L2sys):
+    """{m: (side, base)} for the closed m that are open cylinders, by one
+    pass over ``sys.sets``."""
     # m = a₁×Σ₂ iff each block of n₂ bits is full or empty, i.e. iff the
     # low bit of each block, spread over its block, gives m back; m = Σ₁×a₂
     # iff block 0 copied into every block gives m back
     n1, n2 = prod.left.size, prod.right.size
     block = prod.right.full
     col = rect(prod.left.full, 1, n2)
-    failing = {}  # closed cylinder over a set that is not -> (side, set)
+    failing = {}
     for m in sys.sets:
         low = m & col
         if low * block == m:
@@ -195,9 +211,33 @@ def _check_p3(prod, sys, L1sys, L2sys) -> Verdict:
         a2 = m & block
         if a2 * col == m and a2 not in L2sys.sets:
             failing[m] = (2, a2)
+    return failing
+
+
+def _check_p3(prod, sys, L1sys, L2sys) -> Verdict:
+    """Is every closed cylinder a₁×Σ₂ or Σ₁×a₂ over a closed a₁ or a₂?
+    The witness is the canonical-first closed set that is not, with its
+    side and base.
+
+    P3 asks that a cylinder a₁×Σ₂ or Σ₁×a₂ be closed only if its base is
+    closed in L₁ or L₂.  A cylinder over a closed base meets that whether
+    it is closed or not, so P3 fails exactly where an "open" cylinder, one
+    whose base lies outside its factor family, is closed.  Where
+    2^n₁ + 2^n₂ ≤ |L| the open cylinders come from the cached table, and
+    the closed ones are ``sys.sets`` ∩ that table, taken in C; otherwise
+    (a factor of 32 atoms would list 2^32 bases) one arithmetic pass over
+    ``sys.sets`` finds them.
+    """
+    n1, n2 = prod.left.size, prod.right.size
+    if (1 << n1) + (1 << n2) <= len(sys.sets):
+        opens, bases = _open_cylinders(prod.left, prod.right, L1sys.sets,
+                                       L2sys.sets)
+        failing = sys.sets & opens
+    else:
+        bases = failing = _scan_open_cylinders(prod, sys, L1sys, L2sys)
     if not failing:
         return Verdict(True, None)
-    side, a = failing[sys.first(failing.__contains__)]
+    side, a = bases[canonical_order(prod, failing)[0]]
     return Verdict(False, {"side": side, "set": ids(a)})
 
 
@@ -229,17 +269,17 @@ def _lifts(prod, W1, W2):
     return _lift_table(tuple(W1), tuple(W2), prod.left.size, prod.right.size)
 
 
-def _check_p4(prod, sys, W1, W2) -> Verdict:
-    """Does every lift of W₁ × W₂ keep the closed sets?  The first lift in
-    order that moves a set out fails, with the canonical-first such set.
+def _failing_lift(prod, sys, W1, W2):
+    """(u₁, u₂, moved_out) for the first lift of W₁ × W₂ in order that
+    moves a closed set out of ``sys``, where moved_out(m) says whether it
+    moves m out; None when every lift keeps the closed sets.
 
     ``sys`` must be prod's relation system (check_axioms enforces it, and
     _first_failing_axiom builds it): its members are Σ and the meets of the
     polar rows, and a lift keeps Σ and meets, so it keeps the family iff it
     maps every row p^⊥ into ``sys.sets``.  Each lift is decided on the n
-    rows; ``first`` scans the family only on the lift that moves a row out,
-    to pick the witness.  The lifts come from the cached lift table, of at
-    most GROUP_SIZE_LIMIT lifts.
+    rows.  The lifts come from the cached lift table, of at most
+    GROUP_SIZE_LIMIT lifts.
     """
     sets = sys.sets
     for u1, u2, _, images in _lifts(prod, W1, W2):
@@ -252,10 +292,20 @@ def _check_p4(prod, sys, W1, W2) -> Verdict:
             return image not in sets
 
         if any(map(moved_out, prod.rows)):
-            m = sys.first(moved_out)
-            return Verdict(False, {"u1": list(u1), "u2": list(u2),
-                                   "set": ids(m)})
-    return Verdict(True, None)
+            return u1, u2, moved_out
+    return None
+
+
+def _check_p4(prod, sys, W1, W2) -> Verdict:
+    """Does every lift of W₁ × W₂ keep the closed sets?  The first lift in
+    order that moves a set out fails (see _failing_lift), with the
+    canonical-first such set, which ``first`` finds on that lift alone."""
+    lift = _failing_lift(prod, sys, W1, W2)
+    if lift is None:
+        return Verdict(True, None)
+    u1, u2, moved_out = lift
+    return Verdict(False, {"u1": list(u1), "u2": list(u2),
+                           "set": ids(sys.first(moved_out))})
 
 
 def _check_p5(prod) -> Verdict:
@@ -317,11 +367,14 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
     coatoms; the two verdicts are cross-checked.  P4/P4* are reported as
     vacuous when either W is empty.  A ``prod_sys`` must be prod's own.
 
+    P3 looks up the closed sets among the open cylinders (see _check_p3).
     P4 is decided per lift on the n polar rows, and ``first`` scans the
     closed sets only on the failing lift, for its witness (see _check_p4).
     The tables that depend on the factors alone are cached by value: the #
-    rows by the two factor spaces, the P2 cylinder unions by the factor
-    spaces and the factor ``sets``, and the lift table shared by P4 and P4*
+    rows by the two factor spaces; the P2 cylinder unions, and the P3 open
+    cylinders with their side and base, by the factor spaces and the factor
+    ``sets`` (the open cylinders only where 2^n₁ + 2^n₂ ≤ |L|, as they list
+    every subset of each factor); and the lift table shared by P4 and P4*
     by the W tuples and the factor sizes.  Deciding P4 on generators of
     W₁ × W₂ would save only where P4 holds; on the perturbation sweep
     every relation fails it, so the ordered scan runs anyway.
@@ -482,7 +535,7 @@ def _first_failing_axiom(prod, L1sys, L2sys, W1, W2):
         return "P2"
     if not _check_p3(prod, sys, L1sys, L2sys).holds:
         return "P3"
-    if not _check_p4(prod, sys, W1, W2).holds:
+    if _failing_lift(prod, sys, W1, W2) is not None:
         return "P4"
     return None
 

@@ -4,12 +4,12 @@ from itertools import product
 
 import pytest
 
-from platlab import (check_axioms, dump_system, enumerate_closed, make_mo,
+from platlab import (check_axioms, dump_system, enumerate_closed,
                      separated_product, sharp)
-from platlab.constructions import (CRelation, FactorBijection, L0Report,
-                                   PairingData, _row_mask, _weighted_states,
-                                   build_perp2, build_perp3, build_perp4,
-                                   build_perp5, enumerate_subspaces,
+from platlab.constructions import (CRelation, FactorBijection, PairingData,
+                                   _row_mask, _weighted_states, build_perp2,
+                                   build_perp3, build_perp4, build_perp5,
+                                   enumerate_subspaces,
                                    gaussian_binomial, mo_pair_swap_bijection,
                                    tensor_trace_lattice)
 from platlab.closure import (CarrierMismatchError, ClosureSystem,

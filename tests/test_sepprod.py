@@ -1,20 +1,21 @@
 import random
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platlab import (AtomSubset, check_axioms, daniel_lift, dump_system,
-                     enumerate_closed, lift_product_map, make_mo,
-                     make_powerset_space, p_hash_components, p_sharp,
-                     perturbation_test, separated_product, sharp)
+from platlab import (AtomSubset, check_axioms, daniel_lift, enumerate_closed,
+                     lift_product_map, make_mo, make_powerset_space,
+                     p_hash_components, p_sharp, perturbation_test,
+                     separated_product, sharp)
 from platlab import lattice, sepprod
-from platlab.bits import ids
+from platlab.bits import ids, rect
 from platlab.closure import (CarrierMismatchError, ClosureSystem,
                              EnumerationLimitError, polar)
 from platlab.lattice import apply_perm_mask, automorphisms
-from platlab.orthospace import OrthoSpace, Verdict
+from platlab.orthospace import OrthoSpace, Verdict, _rows_from_pairs
 from platlab.sepprod import (DanielConditionError, ProductSpace,
                              default_edge_sampler)
 
@@ -216,6 +217,29 @@ def test_extra_edge_breaks_an_axiom(mo2, mo2_sys, mo2_product):
     rows[q] |= 1 << p
     tweaked = ProductSpace(mo2, mo2, rows, "sharp+E")
     assert _first_failing_axiom(tweaked, mo2_sys, mo2_sys, W, W) is not None
+
+
+def test_first_failing_axiom_decides_p4_without_a_witness(monkeypatch):
+    # the pentagon's closed sets include each p^⊥ = {p − 1, p + 1}, which
+    # the transposition (0 1) does not keep: # over it passes separating,
+    # P2 and P3 and fails P4
+    c5 = OrthoSpace(list("abcde"), _rows_from_pairs(
+        [0] * 5, [(i, (i + 1) % 5) for i in range(5)]))
+    mo1 = make_mo(1)
+    L1, L2 = enumerate_closed(c5), enumerate_closed(mo1)
+    prod = sharp(c5, mo1)
+    psys = enumerate_closed(prod)
+    W1, W2 = [tuple(range(5)), (1, 0, 2, 3, 4)], [(0, 1)]
+    p4 = _same(sepprod._check_p4(prod, psys, W1, W2),
+               old_check_p4(prod, psys, W1, W2))
+    assert p4.witness == {"u1": [1, 0, 2, 3, 4], "u2": [0, 1],
+                          "set": [0, 4]}
+
+    def no_witness(self, pred):
+        raise AssertionError("the verdict-only scan looked for a witness")
+
+    monkeypatch.setattr(ClosureSystem, "first", no_witness)
+    assert sepprod._first_failing_axiom(prod, L1, L2, W1, W2) == "P4"
 
 
 def test_perturbation_run(mo2):
@@ -438,6 +462,46 @@ def test_p3_fails_on_both_sides_with_oracle_witness(n1, n2, side):
         assert v.witness["side"] == want
 
 
+def _bipartite(left, right, over):
+    """Every atom of the product mask ``over`` related to every atom
+    outside it: the closed sets are ∅, ``over``, its complement and Σ."""
+    full = (1 << left.size * right.size) - 1
+    rows = [full ^ over if over >> p & 1 else over
+            for p in range(left.size * right.size)]
+    return ProductSpace(left, right, rows, "bipartite")
+
+
+def _open_cylinder_lookups():
+    info = sepprod._open_cylinders.cache_info()
+    return info.hits + info.misses
+
+
+@pytest.mark.parametrize("path,side", [("scan", 1), ("scan", 2),
+                                       ("table", 1), ("table", 2)])
+def test_p3_reads_the_open_cylinder_table_from_2_n1_plus_2_n2_sets(path,
+                                                                   side):
+    # MO2×MO3 switches at 2⁴ + 2⁶ = 80 closed sets; {0, 1} is open in
+    # both factors, {1} and {2} are cut from them
+    (left, L1, _), (right, L2, _) = _factor(2), _factor(3)
+    if path == "scan":
+        over = (rect(0b11, right.full, right.size) if side == 1 else
+                rect(left.full, 0b11, right.size))
+        prod = _bipartite(left, right, over)
+        psys, factors, want = enumerate_closed(prod), (L1, L2), [0, 1]
+        assert len(psys) == 4
+    else:
+        prod, psys = separated_product(left, right)
+        factors = ((_without(L1, {0b10}), L2) if side == 1 else
+                   (L1, _without(L2, {0b100})))
+        want = [1] if side == 1 else [2]
+        assert len(psys) == 240
+    before = _open_cylinder_lookups()
+    v = _same(sepprod._check_p3(prod, psys, *factors),
+              old_check_p3(prod, psys, *factors))
+    assert v.witness == {"side": side, "set": want}
+    assert _open_cylinder_lookups() - before == (path == "table")
+
+
 def test_lifts_without_a_leading_identity_match_oracles():
     (left, _, W1), (right, _, W2) = _factor(2), _factor(3)
     rows = list(sharp(left, right).rows)
@@ -562,3 +626,30 @@ def test_cached_tables_match_oracles_in_one_process():
         cuts.append((_without(L1, {0b1}), _without(L2, {0b10})))
         for cut1, cut2 in cuts:
             _check_against_oracles(left, right, rows, cut1, cut2, *W)
+
+
+def test_check_axioms_scans_for_p3_over_a_32_atom_factor():
+    # MO1×MO16 has 64 atoms and 1,156 closed sets: the open-cylinder table
+    # would list 2² + 2³² bases, so P3 scans the closed sets instead
+    left, right = make_mo(1), make_mo(16)
+    L1, L2 = enumerate_closed(left), enumerate_closed(right)
+    ident = tuple(range(32))
+    not_aut = (2, 1, 0) + ident[3:]   # keeps L2, not the polarity
+    W1 = [(0, 1), (1, 0)]
+    W2 = [ident, (2, 3, 0, 1) + ident[4:], (1, 0) + ident[2:], not_aut]
+    base = sharp(left, right).rows
+    perturbed = list(base)
+    perturbed[0] |= 1 << 2   # # ∪ {((0,0), (0,2))}
+    perturbed[2] |= 1 << 0
+    before = _open_cylinder_lookups()
+    start = time.perf_counter()
+    reps = [_check_against_oracles(left, right, rows, L1, cut2, W1, W2)
+            for rows, cut2 in ((base, L2), (base, _without(L2, {0b1})),
+                               (perturbed, L2))]
+    assert time.perf_counter() - start < 10
+    assert _open_cylinder_lookups() == before
+    assert len(enumerate_closed(sharp(left, right))) == 1156
+    assert [(r.p3.holds, r.p4.holds, r.p4star.holds) for r in reps] == [
+        (True, True, False), (False, True, False), (True, False, False)]
+    assert reps[0].p4star.witness["u2"] == list(not_aut)
+    assert reps[1].p3.witness == {"side": 2, "set": [0]}
