@@ -169,7 +169,8 @@ class ClosureSystem:
     - ``down_set(m)``, the closed subsets of m: n − k ORs of w words;
     - ``covers(a, b)``: one ``up_set`` and one ``down_set``;
     - ``atoms()``: one ``up_set`` per atom;
-    - ``coatoms()``: one ``up_set`` per closed set, O(n·|L|·w) in all;
+    - explicit ``coatoms()``: one ``up_set`` per closed set, O(n·|L|·w)
+      in all (a relation's own system reads them off its n polar rows);
     - explicit ``join_mask(u)``: one ``up_set``.
 
     The build costs one pass over the members of every closed set.
@@ -325,9 +326,19 @@ class ClosureSystem:
         return atoms
 
     def coatoms(self):
-        """Maximal proper members: the m ≠ Σ whose only strict closed
-        superset is Σ."""
+        """Maximal proper members, in canonical order.
+
+        On a relation's own system they are the maximal distinct polar
+        rows, n² ANDs and no order core: a proper closed m has m^⊥ ≠ ∅
+        and m = ∩{q^⊥ : q ∈ m^⊥}, so it lies in a row, and each row q^⊥
+        is closed and misses q.  On an explicit family they are the m ≠ Σ
+        whose only strict closed superset is Σ."""
         full = self.carrier.full
+        if self._of_relation:
+            rows = set(self.carrier.rows)
+            return canonical_order(self.carrier, [
+                r for r in rows
+                if not any(r != s and r | s == s for s in rows)])
         return [m for m in self.masks
                 if m != full and self.up_set(m).bit_count() == 2]
 

@@ -119,22 +119,27 @@ def covering_property(sys: ClosureSystem) -> Verdict:
     a ∨ r, so the atoms r ∉ a with a ∨ r = b form a subset of b∖a, and
     covering holds at a iff that class is all of b∖a for every join value
     b: one pass over the joins.  The per-p scan runs only on the first a
-    where it fails, for the witness.  A join of two atoms is made once:
-    a = {s} and a = {r} share {s} ∨ r = {r} ∨ s.
+    where it fails, for the witness.
+
+    A join is made once per key, in one table for the call.  On a
+    relation's own system a ∨ r = (a^⊥ ∩ r^⊥)^⊥, so the key is
+    a^⊥ ∩ r^⊥, with one polar a^⊥ per a; on an explicit family it is
+    a ∪ {r}.
     """
-    full = sys.carrier.full
-    pairs = {}  # {s, r} -> {s} ∨ r
+    carrier = sys.carrier
+    full, rows = carrier.full, carrier.rows
+    own = sys.is_system_of(carrier)
+    made = {}  # key -> a ∨ r
     for am in sys.masks:
         joins, classes = {}, {}
-        one_atom = am.bit_count() == 1
+        if own:
+            pa = _kernel.polar(rows, am, full)
         for r in ids(full ^ am):
             u = am | 1 << r
-            if one_atom:
-                bm = pairs.get(u)
-                if bm is None:
-                    bm = pairs[u] = sys.join_mask(u)
-            else:
-                bm = sys.join_mask(u)
+            key = pa & rows[r] if own else u
+            bm = made.get(key)
+            if bm is None:
+                bm = made[key] = sys.join_mask(u)
             joins[r] = bm
             classes[bm] = classes.get(bm, 0) | 1 << r
         if all(cls == bm & ~am for bm, cls in classes.items()):
@@ -157,12 +162,23 @@ def _require_own_system(space, sys: ClosureSystem):
 def orthomodularity(space, sys: ClosureSystem) -> Verdict:
     """b = a ∨ (b ∧ a^⊥) for all closed a ⊆ b; minimal (a, b) on failure.
 
-    The pairs where the law holds by definition are skipped: a = ∅ (b ∨ ∅
-    = b), b = a (a ∧ a^⊥ = ∅, the relation being anti-reflexive) and b = Σ
-    (a ∨ a^⊥ = Σ).  A b ⊋ a is larger, so it comes after a in canonical
-    order, and Σ comes last; the first failing pair is unchanged.
+    The verdict is decided in the Foulis–Holland form (Kalmbach,
+    *Orthomodular Lattices*, 1983, ch. 2): an ortholattice is orthomodular
+    iff no closed b ⊋ a has b ∩ a^⊥ = ∅.  Such a b exists iff some atom
+    r ∉ a ∪ a^⊥ has (a ∨ r) ∩ a^⊥ = ∅, with a ∨ r = (a^⊥ ∩ r^⊥)^⊥: a ∨ r
+    is one such b, and for a given b any r ∈ b∖a has a ∨ r ⊆ b.  That is
+    at most n polars per closed a.
+
+    Only when it fails is the minimal pair found, by a scan in canonical
+    order that skips the pairs where the law holds by definition: a = ∅
+    (b ∨ ∅ = b), b = a (a ∧ a^⊥ = ∅, the relation being anti-reflexive)
+    and b = Σ (a ∨ a^⊥ = Σ).  A b ⊋ a is larger, so it comes after a in
+    canonical order, and Σ comes last; the first failing pair is
+    unchanged.
     """
     _require_own_system(space, sys)
+    if not _has_foulis_holland_pair(space, sys):
+        return Verdict(True, None)
     masks = sys.masks
     for i in range(1, len(masks) - 1):
         am = masks[i]
@@ -173,6 +189,19 @@ def orthomodularity(space, sys: ClosureSystem) -> Verdict:
             if sys.join_mask(am | (bm & pa)) != bm:
                 return Verdict(False, (ids(am), ids(bm)))
     return Verdict(True, None)
+
+
+def _has_foulis_holland_pair(space, sys) -> bool:
+    """True iff some closed a has an atom r ∉ a ∪ a^⊥ with
+    (a ∨ r) ∩ a^⊥ = ∅, that is, iff the law of ``orthomodularity``
+    fails."""
+    rows, full = space.rows, space.full
+    for am in sys.sets:
+        pa = _kernel.polar(rows, am, full)
+        for r in ids(full & ~(am | pa)):
+            if not _kernel.polar(rows, pa & rows[r], full) & pa:
+                return True
+    return False
 
 
 def center(sys: ClosureSystem, space):
@@ -225,7 +254,8 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho",
     The search places atoms 0, 1, … in turn.  The candidates for atom k are
     a mask: the unplaced atoms of k's profile, and in ortho mode, for each
     j < k, ANDed with ``rows[image[j]]`` where k ⊥ j and with its
-    complement where not; the relation is symmetric, so a complete
+    complement where not (both lists of such j are made once per atom,
+    before the search); the relation is symmetric, so a complete
     permutation keeps ⊥.  Lattice mode maps the closed sets whose highest
     atom is k as soon as k is placed: their parts below k once per node,
     then each candidate's bit is added to those images.
@@ -266,7 +296,11 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho",
     same = {}  # profile -> the atoms that have it, as a mask
     for p, pr in enumerate(profs):
         same[pr] = same.get(pr, 0) | 1 << p
-    if mode == "lattice":
+    if mode == "ortho":
+        # for each atom k, the atoms j < k it is orthogonal to and the rest
+        orth_below = [ids(rows[k] & ((1 << k) - 1)) for k in range(n)]
+        apart_below = [ids(~rows[k] & ((1 << k) - 1)) for k in range(n)]
+    else:
         # the closed sets whose highest atom is k are mapped, and must land
         # in the family, as soon as atom k is placed
         by_top = [[] for _ in range(n)]
@@ -291,12 +325,10 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho",
         # atoms orthogonal to image[j] exactly where k is to j, for j < k
         cand = same[profs[k]] & ~placed
         if mode == "ortho":
-            row = rows[k]
-            for j in range(k):
-                if row >> j & 1:
-                    cand &= rows[image[j]]
-                else:
-                    cand &= ~rows[image[j]]
+            for j in orth_below[k]:
+                cand &= rows[image[j]]
+            for j in apart_below[k]:
+                cand &= ~rows[image[j]]
         else:
             below = [apply_perm_mask(image, m ^ 1 << k) for m in by_top[k]]
         while cand:
@@ -327,7 +359,8 @@ def find_orthocomplementation(sys: ClosureSystem, max_elements=None):
     On the closure system of a relation (always symmetric and
     anti-reflexive) the polar map a ↦ a^⊥ is one, with no limit: it is an
     order-reversing involution on the closed sets, a ∧ a^⊥ = ∅ by
-    anti-reflexivity, and a ∨ a^⊥ = (a^⊥ ∩ a^⊥⊥)^⊥ = ∅^⊥ = Σ.
+    anti-reflexivity, and a ∨ a^⊥ = (a^⊥ ∩ a^⊥⊥)^⊥ = ∅^⊥ = Σ.  As
+    a^⊥⊥ = a, one polar fills the table at a and at a^⊥.
 
     A family built by the ``ClosureSystem`` constructor, such as the tensor
     traces, is searched, and only then does ``max_elements`` limit the
@@ -342,8 +375,12 @@ def find_orthocomplementation(sys: ClosureSystem, max_elements=None):
     """
     carrier = sys.carrier
     if sys.is_system_of(carrier):
-        return {m: _kernel.polar(carrier.rows, m, carrier.full)
-                for m in sys.masks}
+        table = {}  # the polar is an involution: one polar per pair
+        for m in sys.sets:
+            if m not in table:
+                pm = _kernel.polar(carrier.rows, m, carrier.full)
+                table[m], table[pm] = pm, m
+        return table
     if max_elements is None:
         max_elements = ORTHOCOMPLEMENT_SEARCH_LIMIT
     if len(sys) > max_elements:

@@ -13,6 +13,12 @@ products, and the explicit join against the meet of the supersets.
 ``orthomodularity``, ``center`` and the polar table of
 ``find_orthocomplementation`` are checked on the same relations against
 oracles that follow their definitions over the 2^Σ brute-force family.
+``orthomodularity`` is also checked against ``old_orthomodularity``, the
+ordered scan that decided it before the Foulis–Holland test: on those
+relations, on the products below, and on orthomodular carriers (MO_2 to
+MO_6, MO_3 ⊕ powerset(5)) where that test visits atoms outside a ∪ a^⊥.
+A relation system's ``coatoms()``, read off its polar rows, is checked
+against the order-core path of the same sets as an explicit family.
 The search of ``find_orthocomplementation`` must find an
 orthocomplementation on every relation system given as an explicit family,
 and on small random families it must answer as an element-by-element
@@ -38,7 +44,7 @@ from hypothesis import strategies as st
 
 from platlab import ClosureSystem, OrthoSpace, brute_force_closed
 from platlab import enumerate_closed, make_mo, make_powerset_space
-from platlab import lattice, separated_product
+from platlab import _kernel, lattice, separated_product
 from platlab.bits import ids
 from platlab.constructions import tensor_trace_lattice
 from platlab.lattice import (apply_perm_mask, automorphisms, center,
@@ -104,6 +110,22 @@ def old_covering_property(sys):
             for cm in sys.masks:
                 if cm != am and cm != bm and am & ~cm == 0 and cm & ~bm == 0:
                     return Verdict(False, (ids(am), p, ids(cm)))
+    return Verdict(True, None)
+
+
+def old_orthomodularity(space, sys):
+    """The ordered scan: the first closed pair a ⊊ b, b ≠ Σ, a ≠ ∅, with
+    b ≠ a ∨ (b ∧ a^⊥)."""
+    lattice._require_own_system(space, sys)
+    masks = sys.masks
+    for i in range(1, len(masks) - 1):
+        am = masks[i]
+        pa = _kernel.polar(space.rows, am, space.full)
+        for bm in masks[i + 1:-1]:
+            if am & ~bm:
+                continue
+            if sys.join_mask(am | (bm & pa)) != bm:
+                return Verdict(False, (ids(am), ids(bm)))
     return Verdict(True, None)
 
 
@@ -276,6 +298,9 @@ def _agree_with_oracles(sys, rnd):
 def test_relation_systems_match_oracles(space, rnd):
     sys = enumerate_closed(space)
     assert sys.masks == brute_force_closed(space).masks
+    # read off the rows, without the order core
+    assert sys.coatoms() == ClosureSystem(space, sys.masks).coatoms()
+    assert "_columns" not in vars(sys)
     _agree_with_oracles(sys, rnd)
 
 
@@ -430,7 +455,8 @@ def test_orthomodularity_and_center_match_definitions(space):
     sys = enumerate_closed(space)
     closed, perp, join = _definitions(space)
     assert orthomodularity(space, sys) == \
-        oracle_orthomodularity(closed, perp, join)
+        oracle_orthomodularity(closed, perp, join) == \
+        old_orthomodularity(space, sys)
     assert center(sys, space) == oracle_center(space, closed, perp, join)
 
 
@@ -612,7 +638,8 @@ def test_covering_and_orthomodularity_match_oracles_on_products(key):
     join = _JoinTable(sys.masks, prod.full)
     cov, om = covering_property(sys), orthomodularity(prod, sys)
     assert cov == old_covering_property(sys)
-    assert om == oracle_orthomodularity(sys.masks, perp, join)
+    assert om == oracle_orthomodularity(sys.masks, perp, join) == \
+        old_orthomodularity(prod, sys)
     # both laws fail on the MO products and hold on the powerset one
     assert cov.holds == om.holds == (key == "pow3xpow2")
 
@@ -624,3 +651,34 @@ def test_ortho_automorphisms_of_mo2_x_mo3_match_the_per_atom_search(
     ortho = automorphisms(prod, sys, mode="ortho")
     assert len(ortho) == 384
     assert ortho.elements == old_automorphisms(prod, sys, "ortho")
+
+
+def _direct_sum(left, right):
+    """left ⊕ right: the atoms of both, every cross pair orthogonal."""
+    n1 = left.size
+    rows = ([row | right.full << n1 for row in left.rows]
+            + [row << n1 | left.full for row in right.rows])
+    return OrthoSpace(list(left.labels) + list(right.labels), rows)
+
+
+# MO1 is Boolean, a ∪ a^⊥ = Σ for every closed a, so it starts at MO2
+ORTHOMODULAR = {f"mo{n}": make_mo(n) for n in range(2, 7)}
+ORTHOMODULAR["mo3+pow5"] = _direct_sum(make_mo(3), make_powerset_space(5))
+
+
+@pytest.mark.parametrize("key", ORTHOMODULAR)
+def test_foulis_holland_decides_orthomodular_carriers(key):
+    space = ORTHOMODULAR[key]
+    sys = enumerate_closed(space)
+    rows, full = space.rows, space.full
+    # some closed a leaves atoms outside a ∪ a^⊥ for the test to visit
+    assert any(full & ~(a | _kernel.polar(rows, a, full)) for a in sys.sets)
+    assert orthomodularity(space, sys) == Verdict(True, None)
+    assert "masks" not in vars(sys)   # the ordered scan did not run
+    assert old_orthomodularity(space, sys) == Verdict(True, None)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+def test_coatoms_from_the_rows_match_the_order_core_on_mo_products(n, m):
+    prod, sys = separated_product(make_mo(n), make_mo(m))
+    assert sys.coatoms() == ClosureSystem(prod, sys.masks).coatoms()
