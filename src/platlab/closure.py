@@ -150,11 +150,11 @@ class ClosureSystem:
     ``DEFAULT_SET_LIMIT`` closed sets raise EnumerationLimitError.
     ``sets`` holds the closed sets, unordered; membership tests read it.
     ``masks``, the closed sets in canonical order (cardinality, then the
-    ascending index tuple), and ``index``, which maps each one to its
-    position, are built on first use.  ``first(pred)`` finds the
-    canonical-first member with a property without building that order:
-    it scans the members size by size from n + 1 buckets, filled in one
-    pass on its first call.
+    ascending index tuple), is built on first use; a caller that needs a
+    few sets in that order sorts them with ``canonical_order``.
+    ``first(pred)`` finds the canonical-first member with a property
+    without building that order: it scans the members size by size from
+    n + 1 buckets, filled in one pass on its first call.
     The constructor builds an explicit family (e.g. traces of subspaces);
     only ``enumerate_closed`` and ``brute_force_closed`` build a carrier's
     relation system, whose joins are biclosures.
@@ -166,12 +166,11 @@ class ClosureSystem:
     in words of an |L|-bit int:
 
     - ``up_set(m)``, the closed supersets of m: k ANDs of w words;
-    - ``down_set(m)``, the closed subsets of m: n − k ORs of w words;
-    - ``covers(a, b)``: one ``up_set`` and one ``down_set``;
     - ``atoms()``: one ``up_set`` per atom;
     - explicit ``coatoms()``: one ``up_set`` per closed set, O(n·|L|·w)
       in all (a relation's own system reads them off its n polar rows);
-    - explicit ``join_mask(u)``: one ``up_set``.
+    - explicit ``join_mask(u)``: one ``up_set``;
+    - ``covers(a, b)``: one ``join_mask`` per atom of b∖a.
 
     The build costs one pass over the members of every closed set.
     """
@@ -196,10 +195,6 @@ class ClosureSystem:
     @cached_property
     def masks(self):
         return canonical_order(self.carrier, self.sets)
-
-    @cached_property
-    def index(self):
-        return {m: i for i, m in enumerate(self.masks)}
 
     @cached_property
     def _by_size(self):
@@ -295,23 +290,14 @@ class ClosureSystem:
             m ^= low
         return acc
 
-    def down_set(self, m: int) -> int:
-        """Index bitset of the closed subsets of an arbitrary mask m."""
-        hit = 0
-        cols = self._columns
-        rest = self.carrier.full & ~m
-        while rest:
-            low = rest & -rest
-            hit |= cols[low.bit_length() - 1]
-            rest ^= low
-        return ((1 << len(self.masks)) - 1) ^ hit
-
     def covers(self, a, b) -> bool:
-        """True iff b covers a: a ⊊ b with no closed set strictly between."""
+        """True iff b covers a: a ⊊ b with no closed set strictly between.
+        That holds iff a ∨ p = b for every atom p ∈ b∖a: a closed c strictly
+        between holds such a p, and then a ∨ p ⊆ c."""
         am, bm = self._operand(a), self._operand(b)
         if am & ~bm or am == bm:
             raise ValueError("covers() requires a ⊊ b")
-        return (self.up_set(am) & self.down_set(bm)).bit_count() == 2
+        return all(self.join_mask(am | 1 << p) == bm for p in ids(bm & ~am))
 
     def atoms(self):
         """Minimal nonzero members in canonical order: the next is the first

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import _kernel
 from .bits import ids
 from .closure import (CarrierMismatchError, ClosureSystem,
-                      EnumerationLimitError, _same_carrier)
+                      EnumerationLimitError, _same_carrier, canonical_order)
 from .orthospace import Verdict
 
 AUTOMORPHISM_SEARCH_LIMIT = 16
@@ -147,8 +147,8 @@ def covering_property(sys: ClosureSystem) -> Verdict:
         for p, bm in joins.items():
             between = {joins[r] for r in ids(bm & ~am)} - {bm}
             if between:
-                first = min(sys.index[cm] for cm in between)
-                return Verdict(False, (ids(am), p, ids(sys.masks[first])))
+                first = canonical_order(carrier, between)[0]
+                return Verdict(False, (ids(am), p, ids(first)))
     return Verdict(True, None)
 
 
@@ -448,7 +448,7 @@ def _irreducibles(sys: ClosureSystem):
     for p in range(sys.carrier.size):
         up = sys.up_set(1 << p)
         least.append(masks[(up & -up).bit_length() - 1])
-    joins = [c for c in sorted(set(least), key=sys.index.__getitem__)
+    joins = [c for c in canonical_order(sys.carrier, set(least))
              if sys.join_mask(sum(1 << q for q in ids(c) if least[q] != c))
              != c]
     meets = []

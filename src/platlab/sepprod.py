@@ -169,12 +169,9 @@ def _check_p2_cylinders(prod, sys, L1sys, L2sys) -> Verdict:
     return Verdict(True, None)
 
 
-def _check_p2_coatoms(prod, sys) -> Verdict:
-    sets = sys.sets
-    for p, row in enumerate(_sharp_rows(prod.left, prod.right)):
-        if row not in sets:
-            return Verdict(False, {"atom": p})
-    return Verdict(True, None)
+def _check_p2_coatoms(prod, closed) -> bool:
+    """Is every # row p^# closed, by the test ``closed``?"""
+    return all(map(closed, _sharp_rows(prod.left, prod.right)))
 
 
 @lru_cache(maxsize=64)
@@ -364,8 +361,10 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
 
     P1 is structural (the carrier is a product by type) and reported for
     completeness.  P2 is computed both from cylinder unions and from the #
-    coatoms; the two verdicts are cross-checked.  P4/P4* are reported as
-    vacuous when either W is empty.  A ``prod_sys`` must be prod's own.
+    coatoms, which agree where the factor systems are the factors' own
+    (see _first_failing_axiom); ``p2_forms_agree`` cross-checks them.
+    P4/P4* are vacuous when either W is empty.  A ``prod_sys`` must be
+    prod's own.
 
     P3 looks up the closed sets among the open cylinders (see _check_p3).
     P4 is decided per lift on the n polar rows, and ``first`` scans the
@@ -391,7 +390,7 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
 
     separating = _separating(prod)
     p2_cyl = _check_p2_cylinders(prod, sys, L1sys, L2sys)
-    p2_coat = _check_p2_coatoms(prod, sys)
+    p2_coat = _check_p2_coatoms(prod, sys.sets.__contains__)
     p3 = _check_p3(prod, sys, L1sys, L2sys)
     p5 = _check_p5(prod)
     if W1 and W2:
@@ -406,7 +405,7 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
         separating=separating,
         w1_inverse_closed=w1_inverse_closed,
         w2_inverse_closed=w2_inverse_closed,
-        p2_forms_agree=(p2_cyl.holds == p2_coat.holds),
+        p2_forms_agree=(p2_cyl.holds == p2_coat),
     )
 
 
@@ -527,12 +526,22 @@ class PerturbationSummary:
 
 
 def _first_failing_axiom(prod, L1sys, L2sys, W1, W2):
-    """Cheapest-first scan; returns the axiom name or None."""
+    """Cheapest-first scan; returns the axiom name or None.
+
+    Separating and P2 are read off the polar rows, so only a relation that
+    passes both is enumerated.  P2 is decided in its coatom form (each #
+    row a biclosure fixpoint), which is check_axioms' cylinder form where
+    ``L1sys`` and ``L2sys`` are the factors' own systems, as both callers
+    build them: each # row is the cylinder union over q₁^⊥ and q₂^⊥; the
+    union over closed a₁ ≠ Σ₁, a₂ ≠ Σ₂ is the meet of the # rows of the
+    atoms in a₁^⊥ × a₂^⊥ (a = ∩{q^⊥ : q ∈ a^⊥}); any other union is Σ.
+    """
     if not _separating(prod).holds:
         return "separating"
-    sys = enumerate_closed(prod)
-    if not _check_p2_cylinders(prod, sys, L1sys, L2sys).holds:
+    if not _check_p2_coatoms(
+            prod, lambda m: _kernel.biclosure(prod.rows, m, prod.full) == m):
         return "P2"
+    sys = enumerate_closed(prod)
     if not _check_p3(prod, sys, L1sys, L2sys).holds:
         return "P3"
     if _failing_lift(prod, sys, W1, W2) is not None:

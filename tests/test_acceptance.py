@@ -158,7 +158,7 @@ def test_criterion_09_tensor_trace_family(criterion):
         _, psys = separated_product(make_quadratic_line_space(3, 1),
                                     make_quadratic_line_space(3, 1))
         for m in psys.masks:                       # (a) containment
-            assert m in family.index
+            assert m in family.sets
         j = report.to_json()
         assert j["strict"] and j["strictness_witness"]      # (b)
         assert find_orthocomplementation(family) is None    # (c)

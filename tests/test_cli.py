@@ -123,7 +123,9 @@ def test_check_rejects_an_out_of_range_pair(tmp_path):
      "check_sharp_mo2_mo2.json"),
 ] + [(["search", "--budget", "300", "--seed", str(seed), "--factor-n",
        str(n)], f"search_b300_s{seed}_f{n}.json")
-     for seed in (0, 1) for n in (1, 2)])
+     for seed in (0, 1) for n in (1, 2)] + [
+    (["search", "--budget", "300", "--seed", "0", "--factor-n", "3"],
+     "search_b300_s0_f3.json")])
 def test_outputs_equal_the_golden_files(tmp_path, args, golden):
     if args[0] == "product":
         mo2 = str(GOLDEN / "mo2.ospace.json")
@@ -172,6 +174,19 @@ def test_search_deterministic_and_sound():
     # the uniqueness theorem predicts no separating P1-P4 relation with a
     # different closed-set family
     assert counts["distinct_family"] == 0
+
+
+def test_search_enumerates_no_candidate(monkeypatch):
+    # only MO2 itself: _first_failing_axiom enumerates a candidate once it
+    # passes P2, and L = L# is read off the candidate's rows
+    enumerated = []
+    enumerate_own = cli_module.enumerate_closed
+    monkeypatch.setattr(cli_module, "enumerate_closed",
+                        lambda space: enumerated.append(space)
+                        or enumerate_own(space))
+    report = run_search(budget=300, seed=0, factor_n=2)
+    assert report["counts"]["equal_as_p_lattice"] == 10
+    assert enumerated == [make_mo(2)]
 
 
 def test_search_cli_exit_and_budget_guard(tmp_path):

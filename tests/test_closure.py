@@ -101,7 +101,7 @@ def test_lattice_operations():
     assert sys.join(a, bottom) == a
     # join of two atoms in the same # coatom closes up
     j = sys.join(sys.subset(1), sys.subset(1 << 1))
-    assert j.bits in sys.index and j.cardinality() >= 2
+    assert j.bits in sys.sets and j.cardinality() >= 2
     with pytest.raises(NotClosedError):
         sys.join(sys.subset(0), AtomSubset.from_indices(MO22, [0, 1, 2]))
 

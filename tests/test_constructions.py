@@ -285,7 +285,7 @@ def test_tensor_traces_match_span_membership(q, lam):
     canonical = sorted(traces, key=canonical_key)
     factor = make_quadratic_line_space(q, lam)
     _, sepsys = separated_product(factor, factor)
-    witness = next(m for m in canonical if m not in sepsys.index)
+    witness = next(m for m in canonical if m not in sepsys.sets)
     n2 = q + 1
     triples = 0
     for m in traces:

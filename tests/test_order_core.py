@@ -6,9 +6,10 @@ They run on random symmetric, anti-reflexive relations of up to 10 atoms
 (checked against ``brute_force_closed`` too) and on the families the
 ``ClosureSystem`` constructor closes from random generators (checked
 against a brute-force intersection closure).  The atom walk of
-``ClosureSystem.atoms`` is also checked against the ``down_set`` scan it
-replaced, on those families and on the tensor traces and MO_n × MO_m
-products, and the explicit join against the meet of the supersets.
+``ClosureSystem.atoms`` is also checked against a scan of the closed
+subsets of each closed set, on those families and on the tensor traces and
+MO_n × MO_m products, and the explicit join against the meet of the
+supersets.
 
 ``orthomodularity``, ``center`` and the polar table of
 ``find_orthocomplementation`` are checked on the same relations against
@@ -37,6 +38,7 @@ import random
 from functools import reduce
 from itertools import permutations
 from operator import and_, or_
+from sys import setprofile
 
 import pytest
 from hypothesis import given, settings
@@ -87,16 +89,15 @@ def old_minimal_nonzero(sys):
 
 
 def down_set_minimal_nonzero(sys):
-    """The scan the atom walk of ``atoms()`` replaced: one
-    ``down_set`` per closed set."""
-    return [m for m in sys.masks
-            if m != 0 and sys.down_set(m).bit_count() == 2]
+    """The nonzero closed sets whose only closed subsets are ∅ and
+    themselves, by a scan of ``masks`` for each closed set."""
+    masks = sys.masks
+    return [m for m in masks
+            if m != 0 and sum(x & ~m == 0 for x in masks) == 2]
 
 
-def old_degree_profiles(sys):
-    down = sorted(sum(1 for x in sys.masks if x & ~m == 0) for m in sys.masks)
-    up = sorted(sum(1 for x in sys.masks if m & ~x == 0) for m in sys.masks)
-    return down, up
+def old_up_profile(sys):
+    return sorted(sum(1 for x in sys.masks if m & ~x == 0) for m in sys.masks)
 
 
 def old_covering_property(sys):
@@ -271,7 +272,7 @@ def _pairs(sys, rnd, count=40):
     for _ in range(count):
         a, b = rnd.choice(masks), rnd.choice(masks)
         a &= b
-        if a != b and a in sys.index:
+        if a != b and a in sys.sets:
             out.append((a, b))
     return out
 
@@ -280,14 +281,11 @@ def _agree_with_oracles(sys, rnd):
     for m in sys.masks:
         assert sys.up_set(m) == sum(1 << j for j, x in enumerate(sys.masks)
                                     if m & ~x == 0)
-        assert sys.down_set(m) == sum(1 << j for j, x in enumerate(sys.masks)
-                                      if x & ~m == 0)
     assert sys.coatoms() == old_coatoms(sys)
     assert lattice._irreducibles(sys) == old_irreducibles(sys)
     assert sys.atoms() == old_minimal_nonzero(sys)
-    down, up = old_degree_profiles(sys)
-    assert sorted(sys.down_set(m).bit_count() for m in sys.masks) == down
-    assert sorted(sys.up_set(m).bit_count() for m in sys.masks) == up
+    assert sorted(sys.up_set(m).bit_count() for m in sys.masks) == \
+        old_up_profile(sys)
     for a, b in _pairs(sys, rnd):
         assert sys.covers(a, b) == old_covers(sys, a, b)
     assert covering_property(sys) == old_covering_property(sys)
@@ -566,7 +564,7 @@ def test_automorphisms_match_all_permutations(space):
 def test_lattice_automorphisms_of_mo1_x_mo2_match_all_permutations():
     prod, sys = separated_product(make_mo(1), make_mo(2))
     keeps_family = {perm for perm in permutations(range(8))
-                    if all(apply_perm_mask(perm, m) in sys.index
+                    if all(apply_perm_mask(perm, m) in sys.sets
                            for m in sys.masks)}
     lattice = automorphisms(prod, sys, mode="lattice")
     assert set(lattice.elements) == keeps_family
@@ -651,6 +649,38 @@ def test_ortho_automorphisms_of_mo2_x_mo3_match_the_per_atom_search(
     ortho = automorphisms(prod, sys, mode="ortho")
     assert len(ortho) == 384
     assert ortho.elements == old_automorphisms(prod, sys, "ortho")
+
+
+class _SearchTooWide(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3)])
+def test_ortho_automorphism_search_is_pruned(monkeypatch, n, m):
+    # an edge-preserving bijection of a finite graph is an automorphism, so
+    # without the ⊥ constraint on the candidates, or without the non-⊥
+    # one, the search lists the same group after far more nodes: count the
+    # calls of its nested backtrack (5,761 on MO2×MO2 and 81,169 on
+    # MO2×MO3), and stop the search once they pass the bound
+    prod, sys = separated_product(make_mo(n), make_mo(m))
+    monkeypatch.setattr(lattice, "AUTOMORPHISM_SEARCH_LIMIT", prod.size)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "backtrack":
+            calls += 1
+            if calls > 100_000:
+                raise _SearchTooWide
+
+    setprofile(count)
+    try:
+        automorphisms(prod, sys, mode="ortho")
+    except _SearchTooWide:
+        pytest.fail("the ortho automorphism search made more than "
+                    "100,000 nodes")
+    finally:
+        setprofile(None)
 
 
 def _direct_sum(left, right):

@@ -1,6 +1,7 @@
 import random
 import time
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,13 @@ from platlab import (AtomSubset, check_axioms, daniel_lift, enumerate_closed,
                      lift_product_map, make_mo, make_powerset_space,
                      p_hash_components, p_sharp, perturbation_test,
                      separated_product, sharp)
-from platlab import lattice, sepprod
+from platlab import constructions as con, lattice, sepprod
 from platlab.bits import ids, rect
 from platlab.closure import (CarrierMismatchError, ClosureSystem,
                              EnumerationLimitError, polar)
 from platlab.lattice import apply_perm_mask, automorphisms
-from platlab.orthospace import OrthoSpace, Verdict, _rows_from_pairs
+from platlab.orthospace import (OrthoSpace, Verdict, _rows_from_pairs,
+                                _separating)
 from platlab.sepprod import (DanielConditionError, ProductSpace,
                              default_edge_sampler)
 
@@ -181,7 +183,7 @@ def test_check_axioms_leaves_the_product_order_unbuilt(mo2, mo2_sys):
     for prod in (base, ProductSpace(mo2, mo2, rows, "sharp+E")):
         psys = enumerate_closed(prod)
         check_axioms(prod, mo2_sys, mo2_sys, W, W, psys)
-        assert "masks" not in vars(psys) and "index" not in vars(psys)
+        assert "masks" not in vars(psys)
 
 
 def test_inverse_closure_of_w_is_reported_per_side(mo2, mo2_sys, mo2_product):
@@ -219,17 +221,21 @@ def test_extra_edge_breaks_an_axiom(mo2, mo2_sys, mo2_product):
     assert _first_failing_axiom(tweaked, mo2_sys, mo2_sys, W, W) is not None
 
 
-def test_first_failing_axiom_decides_p4_without_a_witness(monkeypatch):
-    # the pentagon's closed sets include each p^⊥ = {p − 1, p + 1}, which
-    # the transposition (0 1) does not keep: # over it passes separating,
-    # P2 and P3 and fails P4
+def _pentagon_x_mo1():
+    """# over the pentagon × MO1 with W₁ = {id, (0 1)}, W₂ = {id}: the
+    pentagon's closed sets include each p^⊥ = {p − 1, p + 1}, which the
+    transposition (0 1) does not keep, so it passes separating, P2 and P3
+    and fails P4."""
     c5 = OrthoSpace(list("abcde"), _rows_from_pairs(
         [0] * 5, [(i, (i + 1) % 5) for i in range(5)]))
     mo1 = make_mo(1)
-    L1, L2 = enumerate_closed(c5), enumerate_closed(mo1)
-    prod = sharp(c5, mo1)
+    return (sharp(c5, mo1), enumerate_closed(c5), enumerate_closed(mo1),
+            [tuple(range(5)), (1, 0, 2, 3, 4)], [(0, 1)])
+
+
+def test_first_failing_axiom_decides_p4_without_a_witness(monkeypatch):
+    prod, L1, L2, W1, W2 = _pentagon_x_mo1()
     psys = enumerate_closed(prod)
-    W1, W2 = [tuple(range(5)), (1, 0, 2, 3, 4)], [(0, 1)]
     p4 = _same(sepprod._check_p4(prod, psys, W1, W2),
                old_check_p4(prod, psys, W1, W2))
     assert p4.witness == {"u1": [1, 0, 2, 3, 4], "u2": [0, 1],
@@ -306,7 +312,7 @@ def test_daniel_lift_success(mo2_sys, pow3_sys):
     assert g.apply(0b000).bits == 0
     assert g.apply(0b111).bits == mo2_sys.carrier.full
     a = g.apply(0b011)
-    assert a.bits in mo2_sys.index
+    assert a.bits in mo2_sys.sets
 
     # constant maps always satisfy the preimage condition
     c = daniel_lift([2, 2, 2, 2], mo2_sys, mo2_sys)
@@ -331,10 +337,10 @@ def test_daniel_lift_input_validation(mo2_sys, pow3_sys):
 def old_check_p3(prod, sys, L1sys, L2sys):
     for m in sys.masks:
         a1 = old_cylinder1_base(prod, m)
-        if a1 is not None and a1 not in L1sys.index:
+        if a1 is not None and a1 not in L1sys.sets:
             return Verdict(False, {"side": 1, "set": ids(a1)})
         a2 = old_cylinder2_base(prod, m)
-        if a2 is not None and a2 not in L2sys.index:
+        if a2 is not None and a2 not in L2sys.sets:
             return Verdict(False, {"side": 2, "set": ids(a2)})
     return Verdict(True, None)
 
@@ -363,7 +369,7 @@ def old_check_p4(prod, sys, W1, W2):
         for u2 in W2:
             perm = lift_product_map(prod, u1, u2)
             for m in sys.masks:
-                if apply_perm_mask(perm, m) not in sys.index:
+                if apply_perm_mask(perm, m) not in sys.sets:
                     return Verdict(False, {"u1": list(u1), "u2": list(u2),
                                            "set": ids(m)})
     return Verdict(True, None)
@@ -653,3 +659,131 @@ def test_check_axioms_scans_for_p3_over_a_32_atom_factor():
         (True, True, False), (False, True, False), (True, False, False)]
     assert reps[0].p4star.witness["u2"] == list(not_aut)
     assert reps[1].p3.witness == {"side": 2, "set": [0]}
+
+
+# ------------------------------- _first_failing_axiom against its oracle
+#
+# ``old_first_failing_axiom`` is _first_failing_axiom as it was before it
+# read separating and P2 off the polar rows, kept verbatim as an oracle: it
+# enumerates every separating relation and decides P2 by the cylinder
+# unions over the factor systems.
+
+def old_first_failing_axiom(prod, L1sys, L2sys, W1, W2):
+    """Cheapest-first scan; returns the axiom name or None."""
+    if not _separating(prod).holds:
+        return "separating"
+    sys = enumerate_closed(prod)
+    if not sepprod._check_p2_cylinders(prod, sys, L1sys, L2sys).holds:
+        return "P2"
+    if not sepprod._check_p3(prod, sys, L1sys, L2sys).holds:
+        return "P3"
+    if sepprod._failing_lift(prod, sys, W1, W2) is not None:
+        return "P4"
+    return None
+
+
+def _valid_twists(space):
+    """Every permutation of ``space``'s atoms that build_perp5 accepts."""
+    twists = []
+    for perm in permutations(range(space.size)):
+        f = con.FactorBijection(perm)
+        try:
+            f.validate(space)
+        except ValueError:
+            continue
+        twists.append(f)
+    return twists
+
+
+def _first_failing_cases():
+    """(prod, L1, L2, W1, W2), with the factors' own systems, for each
+    relation the oracle test decides."""
+    mo = {n: _factor(n) for n in (1, 2, 3)}
+    # # ∪ {one pair outside #}, for every such pair
+    for n1, n2 in ((1, 2), (2, 2), (2, 3)):
+        (left, L1, W1), (right, L2, W2) = mo[n1], mo[n2]
+        base = sharp(left, right)
+        for p in range(base.size):
+            for q in ids(base.full ^ base.rows[p] ^ 1 << p):
+                if p < q:
+                    rows = _rows_from_pairs(base.rows, [(p, q)])
+                    yield (ProductSpace(left, right, rows, "sharp+E"),
+                           L1, L2, W1, W2)
+    # relations of a seeded random density, as plat search draws them
+    rng = random.Random(0)
+    for n1 in (1, 2, 3):
+        for n2 in range(n1, 4):
+            (left, L1, W1), (right, L2, W2) = mo[n1], mo[n2]
+            n = left.size * right.size
+            for _ in range(10):
+                density = rng.uniform(0.2, 0.8)
+                rows = _rows_from_pairs([0] * n, [
+                    (p, q) for p in range(n) for q in range(p + 1, n)
+                    if rng.random() < density])
+                yield (ProductSpace(left, right, rows, "random"),
+                       L1, L2, W1, W2)
+    # every pair of valid twists on MO2 and MO3.  W₁ × W₂ keeps a family
+    # iff the lifts (g, id) and (id, h) of generators g, h do, so on MO3 the
+    # identity and three generators of its 48-element group give the P4
+    # verdict of the whole group in 15 lifts, not 2,303; one pair also
+    # runs with the whole group
+    mo3, L3, group3 = mo[3]
+    gens3 = [group3[0], (1, 0, 2, 3, 4, 5), (2, 3, 0, 1, 4, 5),
+             (2, 3, 4, 5, 0, 1)]
+    assert set(gens3) <= set(group3)
+    for (space, L, _), W, count in ((mo[2], mo[2][2], 2), (mo[3], gens3, 14)):
+        base = sharp(space, space)
+        twists = _valid_twists(space)
+        assert len(twists) == count
+        for f1 in twists:
+            for f2 in twists:
+                yield con.build_perp5(base, f1, f2), L, L, W, W
+    twists = _valid_twists(mo3)
+    yield (con.build_perp5(sharp(mo3, mo3), twists[0], twists[-1]),
+           L3, L3, group3, group3)
+    # ⊥2 and ⊥3 on MO2×MO2 with the constructions suite's C and with C =
+    # the four non-orthogonal pairs, which makes ⊥3 fail P3; ⊥5 with the
+    # pair swap
+    mo2, L, W = mo[2]
+    base = sharp(mo2, mo2)
+    for adjacency in ([[2], [3], [0], [1]], [[2, 3], [2, 3], [0, 1], [0, 1]]):
+        C = con.CRelation.from_adjacency(mo2, adjacency)
+        yield con.build_perp2(base, C, C), L, L, W, W
+        yield con.build_perp3(base, C, C), L, L, W, W
+    f = con.mo_pair_swap_bijection(2)
+    yield con.build_perp5(base, f, f), L, L, W, W
+    yield _pentagon_x_mo1()
+    # # ∪ E on MO1×MO3 with a family other than L#: it passes P1-P4 under
+    # W = {id}, and fails P4 under the factor groups
+    (left, L1, W1), (right, L2, W2) = mo[1], mo[3]
+    rows = _rows_from_pairs(sharp(left, right).rows,
+                            [(6, 10), (7, 9), (8, 11)])
+    prod = ProductSpace(left, right, rows, "sharp+E")
+    yield prod, L1, L2, W1[:1], W2[:1]
+    yield prod, L1, L2, W1, W2
+
+
+def test_first_failing_axiom_matches_its_oracle(monkeypatch):
+    enumerated = []
+    enumerate_own = sepprod.enumerate_closed
+    monkeypatch.setattr(sepprod, "enumerate_closed",
+                        lambda space: enumerated.append(space)
+                        or enumerate_own(space))
+    seen, equal_to_sharp = Counter(), Counter()
+    for prod, L1, L2, W1, W2 in _first_failing_cases():
+        before = len(enumerated)
+        failing = sepprod._first_failing_axiom(prod, L1, L2, W1, W2)
+        assert failing == old_first_failing_axiom(prod, L1, L2, W1, W2)
+        # the family is enumerated only once separating and P2 hold
+        assert len(enumerated) - before == (failing not in ("separating",
+                                                            "P2"))
+        seen[failing] += 1
+        if failing is None:
+            # run_search's test: P2 puts L# inside L, and L is the meets of
+            # its rows, so L = L# iff every row is in L#
+            sharp_sets = enumerate_closed(sharp(prod.left, prod.right)).sets
+            equal = enumerate_closed(prod).sets == sharp_sets
+            assert all(row in sharp_sets for row in prod.rows) == equal
+            equal_to_sharp[equal] += 1
+    assert set(seen) == {"separating", "P2", "P3", "P4", None}
+    assert equal_to_sharp[True] and equal_to_sharp[False]
