@@ -467,9 +467,9 @@ def analysis_report(space, sys: ClosureSystem) -> dict:
     cov = covering_property(sys)
     om = orthomodularity(space, sys)
     cen = center(sys, space)
-    if space.size <= AUTOMORPHISM_SEARCH_LIMIT:
+    try:
         aut_order = len(automorphisms(space, sys, mode="ortho"))
-    else:
+    except EnumerationLimitError:
         aut_order = None
     oc = find_orthocomplementation(sys)
     return {

@@ -240,18 +240,13 @@ def _check_p3(prod, sys, L1sys, L2sys) -> Verdict:
 
 @lru_cache(maxsize=64)
 def _lift_table(W1, W2, n1, n2):
-    """(u₁, u₂, lifted permutation, image bit of each atom) for each pair
-    of W₁ × W₂ in order, but the identity lift, which fixes every set and
-    every row; once per (W₁, W₂, n₁, n₂), W a tuple of tuples."""
+    """(u₁, u₂, image bit of each atom) for each pair of W₁ × W₂ in order,
+    but the identity lift, which fixes every set and every row; once per
+    (W₁, W₂, n₁, n₂), W a tuple of tuples."""
     id1, id2 = tuple(range(n1)), tuple(range(n2))
     bits = [1 << q for q in range(n1 * n2)]
-    table = []
-    for u1 in W1:
-        for u2 in W2:
-            if u1 != id1 or u2 != id2:
-                perm = _lift(u1, u2, n2)
-                table.append((u1, u2, perm, tuple(bits[q] for q in perm)))
-    return tuple(table)
+    return tuple((u1, u2, tuple(bits[q] for q in _lift(u1, u2, n2)))
+                 for u1 in W1 for u2 in W2 if u1 != id1 or u2 != id2)
 
 
 def _lifts(prod, W1, W2):
@@ -279,7 +274,7 @@ def _failing_lift(prod, sys, W1, W2):
     GROUP_SIZE_LIMIT lifts.
     """
     sets = sys.sets
-    for u1, u2, _, images in _lifts(prod, W1, W2):
+    for u1, u2, images in _lifts(prod, W1, W2):
         def moved_out(m):  # apply_perm_mask inlined: one call per set
             image = 0
             while m:
@@ -316,9 +311,11 @@ def _check_p5(prod) -> Verdict:
 
 def _check_lifts_commute(prod, W1, W2) -> Verdict:
     """Does every lifted pair (u₁, u₂) commute with the polarity on atoms?
-    P4* is P4 plus this."""
-    for u1, u2, perm, _ in _lifts(prod, W1, W2):
-        p = _moved_row(prod.rows, perm)
+    P4* is P4 plus this; it runs only where P4 holds, so it rebuilds each
+    lifted permutation from u₁ and u₂."""
+    n2 = prod.right.size
+    for u1, u2, _ in _lifts(prod, W1, W2):
+        p = _moved_row(prod.rows, _lift(u1, u2, n2))
         if p is not None:
             return Verdict(False, {"u1": list(u1), "u2": list(u2),
                                    "atom": p})

@@ -177,16 +177,17 @@ def test_search_deterministic_and_sound():
 
 
 def test_search_enumerates_no_candidate(monkeypatch):
-    # only MO2 itself: _first_failing_axiom enumerates a candidate once it
-    # passes P2, and L = L# is read off the candidate's rows
+    # only MO1 itself: _first_failing_axiom enumerates a candidate once it
+    # passes P2, and L = L# is read off the candidate's rows; 14 draws at
+    # seed 0 pass P1-P4 and reach that read-off
     enumerated = []
     enumerate_own = cli_module.enumerate_closed
     monkeypatch.setattr(cli_module, "enumerate_closed",
                         lambda space: enumerated.append(space)
                         or enumerate_own(space))
-    report = run_search(budget=300, seed=0, factor_n=2)
-    assert report["counts"]["equal_as_p_lattice"] == 10
-    assert enumerated == [make_mo(2)]
+    report = run_search(budget=300, seed=0, factor_n=1)
+    assert report["counts"]["equal_as_p_lattice"] == 14
+    assert enumerated == [make_mo(1)]
 
 
 def test_search_cli_exit_and_budget_guard(tmp_path):

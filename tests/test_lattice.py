@@ -250,6 +250,15 @@ def test_analysis_report_reads_the_automorphism_search_limit(
     assert analysis_report(prod, psys)["aut_order"] is None
 
 
+def test_analysis_report_reads_the_group_size_refusal(monkeypatch,
+                                                      mo2_product):
+    # 16 atoms pass the atom limit, but the 128-element ortho group of
+    # MO2×MO2 exceeds this group size limit, so the search refuses it
+    prod, psys = mo2_product
+    monkeypatch.setattr(lattice, "GROUP_SIZE_LIMIT", 127)
+    assert analysis_report(prod, psys)["aut_order"] is None
+
+
 def _close_with_inverses(generators, degree):
     # the closure close_group made before it dropped the inverse generators
     seen = {tuple(range(degree))}

@@ -695,6 +695,29 @@ def _valid_twists(space):
     return twists
 
 
+def test_a_valid_twist_only_permutes_the_sharp_rows():
+    # why run_search draws no twist: build_perp5 gives atom p the row
+    # ((f₁×f₂)(p))^#, so its rows are the # rows in another order, and the
+    # closed sets (Σ and the meets of the rows) are L#'s
+    for n, count in ((2, 2), (3, 14), (4, 104)):
+        space, fsys, group = _factor(n)
+        base = sharp(space, space)
+        sharp_rows = sorted(base.rows)
+        twists = _valid_twists(space)
+        assert len(twists) == count
+        if n < 4:
+            sharp_sets = enumerate_closed(base).sets
+            # ... so every verdict of _first_failing_axiom is L#'s: none
+            assert sepprod._first_failing_axiom(base, fsys, fsys, group,
+                                                group) is None
+        for f1 in twists:
+            for f2 in twists:
+                twisted = con.build_perp5(base, f1, f2)
+                assert sorted(twisted.rows) == sharp_rows
+                if n < 4:
+                    assert enumerate_closed(twisted).sets == sharp_sets
+
+
 def _first_failing_cases():
     """(prod, L1, L2, W1, W2), with the factors' own systems, for each
     relation the oracle test decides."""
