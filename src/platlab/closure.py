@@ -233,18 +233,22 @@ class ClosureSystem:
         return (AtomSubset(self.carrier, m) for m in self.masks)
 
     def __contains__(self, a) -> bool:
-        bits = a.bits if isinstance(a, AtomSubset) else a
-        return bits in self.sets
+        return self._mask(a) in self.sets
 
     def subset(self, mask: int) -> AtomSubset:
         return AtomSubset(self.carrier, mask)
 
-    def _operand(self, a) -> int:
+    def _mask(self, a) -> int:
+        """The mask of an int, or of an AtomSubset on this carrier."""
         if isinstance(a, AtomSubset):
             if not _same_carrier(a.space, self.carrier):
                 raise CarrierMismatchError(
                     "operand does not belong to this system's carrier")
-            a = a.bits
+            return a.bits
+        return a
+
+    def _operand(self, a) -> int:
+        a = self._mask(a)
         if a not in self.sets:
             raise NotClosedError(f"operand is not a closed set: {a:#x}")
         return a

@@ -233,23 +233,14 @@ def is_irreducible(sys: ClosureSystem, space) -> bool:
     return len(center(sys, space)) == 2
 
 
-def _is_automorphism(space, sys, perm, mode):
-    """Ortho mode reads ⊥ only (a permutation keeping ⊥ commutes with the
-    polar, so it keeps the closed sets); lattice mode reads the family."""
-    if mode == "ortho":
-        return _moved_row(space.rows, perm) is None
-    return all(apply_perm_mask(perm, m) in sys.sets for m in sys.sets)
-
-
-def automorphisms(space, sys: ClosureSystem, mode="ortho",
-                  generators=None) -> PermutationGroup:
+def automorphisms(space, sys: ClosureSystem, mode="ortho") -> PermutationGroup:
     """Atom permutations preserving the closed-set family, and for
     mode='ortho' additionally commuting with the polarity on atoms.
 
     Lattice mode accepts any family on the carrier.  Full backtracking
-    search up to ``AUTOMORPHISM_SEARCH_LIMIT`` atoms; above that, supply
-    generators and they are verified and closed into a group instead.
-    Either way the group has at most ``GROUP_SIZE_LIMIT`` elements.
+    search up to ``AUTOMORPHISM_SEARCH_LIMIT`` atoms, for a group of at
+    most ``GROUP_SIZE_LIMIT`` elements; ``close_group`` gives the group
+    that given permutations generate.
 
     The search places atoms 0, 1, … in turn.  The candidates for atom k are
     a mask: the unplaced atoms of k's profile, and in ortho mode, for each
@@ -267,19 +258,10 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho",
     elif not _same_carrier(sys.carrier, space):
         raise CarrierMismatchError("system does not belong to this carrier")
     n = space.size
-    if generators is not None:
-        for g in generators:
-            if not is_permutation(g, n):
-                raise ValueError(f"not a permutation of {n} atoms: {g}")
-            if not _is_automorphism(space, sys, tuple(g), mode):
-                raise ValueError(f"supplied generator is not an "
-                                 f"automorphism: {tuple(g)}")
-        elems = close_group(generators, n)
-        return PermutationGroup(n, tuple(elems))
     if n > AUTOMORPHISM_SEARCH_LIMIT:
         raise EnumerationLimitError(
             f"automorphism search limit {AUTOMORPHISM_SEARCH_LIMIT} exceeded "
-            f"for {n} atoms and no generators supplied; raise it by setting "
+            f"for {n} atoms; raise it by setting "
             "platlab.lattice.AUTOMORPHISM_SEARCH_LIMIT")
 
     rows = space.rows
@@ -363,10 +345,14 @@ def find_orthocomplementation(sys: ClosureSystem, max_elements=None):
     a^⊥⊥ = a, one polar fills the table at a and at a^⊥.
 
     A family built by the ``ClosureSystem`` constructor, such as the tensor
-    traces, is searched, and only then does ``max_elements`` limit the
-    closed sets.  An orthocomplementation is a dual automorphism, so it maps
-    the atoms onto the coatoms and the join-irreducibles J onto the
-    meet-irreducibles M; two count filters run first.  Every member a is
+    traces, is searched, and only then does ``ORTHOCOMPLEMENT_SEARCH_LIMIT``
+    limit the closed sets.  ``max_elements`` overrides that setting for one
+    call; it stays only because ``perfbench/make_reference.py`` passes it,
+    and goes with the next change to the benchmark.
+
+    An orthocomplementation is a dual automorphism, so it maps the atoms
+    onto the coatoms and the join-irreducibles J onto the meet-irreducibles
+    M; two count filters run first.  Every member a is
     the join of the j ∈ J below it, so a' = ∧{j' : j ≤ a}, and the search
     backtracks over the assignments J → M; the answer is exact on every
     lattice.  On an atomistic lattice J is the atoms.  A table built from

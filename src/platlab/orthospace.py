@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 
 from . import _kernel
 from .bits import ids
@@ -53,15 +52,6 @@ class OrthoSpace:
 
     def __repr__(self):
         return f"OrthoSpace({self.size} atoms, {len(self.pairs())} pairs)"
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    separating: Verdict
-
-    @property
-    def all_ok(self) -> bool:
-        return self.separating.holds
 
 
 def _pairs(rows):
@@ -199,14 +189,14 @@ def _separating(space) -> Verdict:
     return Verdict(True, None)
 
 
-def validate_relation(space: OrthoSpace) -> RelationReport:
+def validate_relation(space: OrthoSpace) -> Verdict:
     """Check the separating law exhaustively: every singleton is closed.
 
     Symmetry and anti-reflexivity need no check, since the constructor
     rejects rows without them.  The witness is the least atom whose
     singleton is not closed; never raises.
     """
-    return RelationReport(_separating(space))
+    return _separating(space)
 
 
 def dump_space(space: OrthoSpace) -> str:

@@ -527,12 +527,15 @@ def _first_failing_axiom(prod, L1sys, L2sys, W1, W2):
 
     Separating and P2 are read off the polar rows, so only a relation that
     passes both is enumerated.  P2 is decided in its coatom form (each #
-    row a biclosure fixpoint), which is check_axioms' cylinder form where
-    ``L1sys`` and ``L2sys`` are the factors' own systems, as both callers
-    build them: each # row is the cylinder union over q₁^⊥ and q₂^⊥; the
-    union over closed a₁ ≠ Σ₁, a₂ ≠ Σ₂ is the meet of the # rows of the
-    atoms in a₁^⊥ × a₂^⊥ (a = ∩{q^⊥ : q ∈ a^⊥}); any other union is Σ.
+    row a biclosure fixpoint), which is check_axioms' cylinder form only
+    where ``L1sys`` and ``L2sys`` are the factors' own systems, so any other
+    factor system raises CarrierMismatchError: each # row is the cylinder
+    union over q₁^⊥ and q₂^⊥; the union over closed a₁ ≠ Σ₁, a₂ ≠ Σ₂ is
+    the meet of the # rows of the atoms in a₁^⊥ × a₂^⊥
+    (a = ∩{q^⊥ : q ∈ a^⊥}); any other union is Σ.
     """
+    _require_own_system(prod.left, L1sys)
+    _require_own_system(prod.right, L2sys)
     if not _separating(prod).holds:
         return "separating"
     if not _check_p2_coatoms(

@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from platlab import Verdict, dump_space, make_mo, sharp
+from platlab import (Verdict, check_axioms, dump_space, enumerate_closed,
+                     make_mo, sharp)
 from platlab import cli as cli_module
 from platlab import sepprod as sp_module
 from platlab.cli import main, regenerate_fixtures, run_search, run_verify_suite
+from platlab.lattice import automorphisms
 
 runner = CliRunner()
 # outputs of plat product, check and search that the commands must keep
@@ -247,6 +249,31 @@ def test_verify_l0_over_atom_limit_is_usage_error():
 def test_verify_l0_isotropic_form_is_usage_error():
     _usage_error(invoke("verify", "--suite", "l0", "--q", "9", "--lam", "2"),
                  "isotropic over GF(9)")
+
+
+@pytest.mark.parametrize("w", ["aut", "identity"])
+def test_check_reads_w_files(tmp_path, w):
+    # W files holding MO2's ortho automorphisms, in the search's order,
+    # give the --w1 aut report byte for byte; files holding the identity
+    # alone give check_axioms' report on W = {id}, in which P4 and P4* hold
+    relation = GOLDEN / "sharp_mo2_mo2.relation.json"
+    mo2 = make_mo(2)
+    mo2_sys = enumerate_closed(mo2)
+    if w == "aut":
+        W = list(automorphisms(mo2, mo2_sys, mode="ortho"))
+        expected = (GOLDEN / "check_sharp_mo2_mo2.json").read_bytes()
+    else:
+        W = [(0, 1, 2, 3)]
+        rep = check_axioms(sharp(mo2, mo2), mo2_sys, mo2_sys, W, W).to_json()
+        assert rep["P4"]["holds"] and rep["P4star"]["holds"]
+        expected = (json.dumps(rep, indent=2) + "\n").encode()
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps([list(g) for g in W]))
+    out = tmp_path / "out"
+    res = invoke("check", "--relation", str(relation), "--w1", str(wfile),
+                 "--w2", str(wfile), "-o", str(out))
+    assert res.exit_code == 0, res.output
+    assert out.read_bytes() == expected
 
 
 def test_check_rejects_non_permutation_w(tmp_path):

@@ -68,6 +68,19 @@ def test_carrier_mismatch_raises():
         polar(make_mo(3), a)
 
 
+def test_membership_checks_the_carrier_of_an_atom_subset():
+    # as meet and join do: an AtomSubset on another carrier is an error,
+    # an int is looked up as a mask
+    sys = enumerate_closed(make_powerset_space(4))
+    other = AtomSubset(make_mo(2), 0b0101)
+    with pytest.raises(CarrierMismatchError):
+        other in sys
+    with pytest.raises(CarrierMismatchError):
+        sys.meet(other, sys.subset(0b0101))
+    assert AtomSubset(sys.carrier, 0b0101) in sys
+    assert 0b0101 in sys and 0b10000 not in sys
+
+
 @pytest.mark.parametrize("space,count", [
     (make_mo(2), 6),
     (make_mo(3), 8),

@@ -305,6 +305,23 @@ def test_tensor_traces_match_span_membership(q, lam):
     assert j["triples"] == triples
 
 
+@pytest.mark.parametrize("q,lam,census", [
+    (3, 1, {0: 1, 1: 16, 2: 72, 4: 32, 7: 16, 16: 1}),
+    (5, 2, {0: 1, 1: 36, 2: 450, 6: 132, 11: 36, 36: 1}),
+    (5, 3, {0: 1, 1: 36, 2: 450, 6: 132, 11: 36, 36: 1}),
+], ids=["q3-lam1", "q5-lam2", "q5-lam3"])
+def test_tensor_trace_sizes(q, lam, census):
+    # a line of PG(3, q) meets the quadric of product states in 0, 1, 2 or
+    # q + 1 points, and a plane in a conic (q + 1) or two lines (2q + 1):
+    # no trace has 3 atoms, so the report's triples count is 0
+    family, report = tensor_trace_lattice(q, lam)
+    sizes = {}
+    for m in family.masks:
+        sizes[m.bit_count()] = sizes.get(m.bit_count(), 0) + 1
+    assert sizes == census
+    assert report.triples == 0
+
+
 def dot_mask(F, weights, row):
     """Oracle: the trace mask of one row, one ``F.dot`` per product state,
     as ``tensor_trace_lattice`` computed it before the table lookups."""

@@ -39,16 +39,6 @@ def test_automorphism_groups():
     assert len(automorphisms(pow3, psys, mode="lattice")) == 6
 
 
-def test_automorphisms_from_generators():
-    mo2 = make_mo(2)
-    sys = enumerate_closed(mo2)
-    g = automorphisms(mo2, sys, mode="ortho", generators=[(1, 0, 2, 3),
-                                                          (2, 3, 0, 1)])
-    assert len(g) == 8 and is_closed_group(g.elements, g.degree)
-    with pytest.raises(ValueError, match="not an automorphism"):
-        automorphisms(mo2, sys, mode="ortho", generators=[(1, 2, 3, 0)])
-
-
 def test_automorphism_search_limit(monkeypatch):
     s = make_powerset_space(5)
     sys = enumerate_closed(s)
@@ -234,12 +224,6 @@ def test_lattice_automorphisms_accept_an_explicit_family(mo2, mo2_sys):
     assert len(automorphisms(mo2, family, mode="lattice")) == 24
     with pytest.raises(CarrierMismatchError):
         automorphisms(mo2, enumerate_closed(make_mo(3)), mode="lattice")
-
-
-@pytest.mark.parametrize("bad", [(1.0, 0, 2, 3), (True, False, 2, 3), 5])
-def test_generators_must_be_int_permutations(mo2, mo2_sys, bad):
-    with pytest.raises(ValueError, match="not a permutation of 4 atoms"):
-        automorphisms(mo2, mo2_sys, mode="ortho", generators=[bad])
 
 
 def test_analysis_report_reads_the_automorphism_search_limit(

@@ -494,7 +494,9 @@ def test_search_finds_an_orthocomplementation_on_every_relation_system(
     # a relation system has one (the polar map); as an explicit family,
     # atomistic or not, it is searched, and the search must find one
     family = ClosureSystem(space, enumerate_closed(space).masks)
-    table = find_orthocomplementation(family, max_elements=len(family))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "ORTHOCOMPLEMENT_SEARCH_LIMIT", len(family))
+        table = find_orthocomplementation(family)
     assert table is not None and is_orthocomplementation(family, table)
 
 
@@ -533,11 +535,11 @@ def test_relations_with_a_row_defect_are_rejected(rows, message):
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
-def test_polar_table_equals_the_search_on_mo_products(n, m):
+def test_polar_table_equals_the_search_on_mo_products(monkeypatch, n, m):
     prod, sys = separated_product(make_mo(n), make_mo(m))
     family = ClosureSystem(prod, sys.masks)
-    assert find_orthocomplementation(sys) == \
-        find_orthocomplementation(family, max_elements=len(family))
+    monkeypatch.setattr(lattice, "ORTHOCOMPLEMENT_SEARCH_LIMIT", len(family))
+    assert find_orthocomplementation(sys) == find_orthocomplementation(family)
 
 
 @SETTINGS

@@ -32,9 +32,8 @@ def test_powerset_space_all_pairs():
 def test_validate_relation_good():
     for s in (make_mo(2), make_powerset_space(3),
               make_quadratic_line_space(3, 1)):
-        rep = validate_relation(s)
-        assert rep.all_ok
-        assert rep.separating.witness is None
+        verdict = validate_relation(s)
+        assert verdict.holds and verdict.witness is None
 
 
 def test_validate_relation_reflexive_witness():
@@ -119,8 +118,8 @@ def test_constructor_rejects_a_row_bit_beyond_the_atoms(labels, rows, atom,
 def test_validate_relation_not_separating():
     # two unrelated atoms: {p}^⊥⊥ = Σ, lex-least witness is atom 0
     s = OrthoSpace(["x", "y"], (0, 0))
-    rep = validate_relation(s)
-    assert rep.separating == (False, 0)
+    verdict = validate_relation(s)
+    assert (verdict.holds, verdict.witness) == (False, 0)
 
 
 def test_quadratic_space_matches_mo():

@@ -221,6 +221,23 @@ def test_extra_edge_breaks_an_axiom(mo2, mo2_sys, mo2_product):
     assert _first_failing_axiom(tweaked, mo2_sys, mo2_sys, W, W) is not None
 
 
+def test_first_failing_axiom_needs_the_factors_own_systems(mo2, mo2_sys):
+    # with {a1, a2} added to each factor family, check_axioms finds P2
+    # false in its cylinder form; the coatom form the scan reads would
+    # pass, so the scan refuses such factor systems
+    from platlab.sepprod import _first_failing_axiom
+    prod = sharp(mo2, mo2)
+    family = ClosureSystem(mo2, list(mo2_sys.sets) + [0b0101])
+    W = list(automorphisms(mo2, mo2_sys, mode="ortho"))
+    rep = check_axioms(prod, family, family, W, W)
+    assert rep.to_json()["P2"] == {"holds": False,
+                                   "witness": {"a1": [], "a2": [0, 2]}}
+    assert not rep.p2_forms_agree
+    for L1, L2 in ((family, mo2_sys), (mo2_sys, family)):
+        with pytest.raises(CarrierMismatchError):
+            _first_failing_axiom(prod, L1, L2, W, W)
+
+
 def _pentagon_x_mo1():
     """# over the pentagon × MO1 with W₁ = {id, (0 1)}, W₂ = {id}: the
     pentagon's closed sets include each p^⊥ = {p − 1, p + 1}, which the
