@@ -11,6 +11,9 @@ decide, not assumed here.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import reduce
+from itertools import combinations, product
+from operator import and_
 
 # unused here, but the benchmark tracer swaps this binding for a traced
 # kernel, so removing it breaks `perfbench/run.py --trace 1`
@@ -237,26 +240,31 @@ def _total_subspaces(q, dim):
 
 
 def _rref_matrices(F, n, k):
-    """Yield every k×n RREF matrix over F with k pivots."""
-    from itertools import combinations, product
-
+    """Yield every k×n RREF matrix over F with k pivots: pivot sets in
+    ``combinations`` order, then the free entries row-major, the last one
+    varying fastest."""
     for pivots in combinations(range(n), k):
-        free = []
-        for r in range(k):
-            for c in range(pivots[r] + 1, n):
-                if c not in pivots:
-                    free.append((r, c))
-        for values in product(range(F.q), repeat=len(free)):
-            mat = [[0] * n for _ in range(k)]
-            for r, p in enumerate(pivots):
-                mat[r][p] = 1
-            for (r, c), v in zip(free, values):
-                mat[r][c] = v
-            yield tuple(tuple(row) for row in mat)
+        # a row has 1 at its pivot, 0 at the other pivots, free entries
+        # after its pivot
+        options = []
+        for p in pivots:
+            free = [c for c in range(p + 1, n) if c not in pivots]
+            rows = []
+            for values in product(range(F.q), repeat=len(free)):
+                row = [0] * n
+                row[p] = 1
+                for c, v in zip(free, values):
+                    row[c] = v
+                rows.append(tuple(row))
+            options.append(rows)
+        yield from product(*options)
 
 
 @dataclass
 class L0Report:
+    """``triples`` counts traces of 3 pairwise product-distinct atoms. It
+    reads 0 at every odd q, as a trace has 0, 1, 2, q + 1, 2q + 1 or
+    (q + 1)² atoms; it stays so that the reports keep their bytes."""
     trace_count: int
     intersection_closed: bool
     contains_sepprod: bool
@@ -281,23 +289,18 @@ def tensor_trace_lattice(q: int, lam: int):
     """
     factor = make_quadratic_line_space(q, lam)  # raises unless 0 < λ < q
     F = field(q)
-    weights = (1, lam, lam, F.mul(lam, lam))
     prod, sepsys = separated_product(factor, factor)
-    states = _weighted_states(F, weights)
 
     # W ↦ W^⊥ is a bijection on subspaces and V = (V^⊥)^⊥, so the trace of
     # W^⊥ (the product states orthogonal to every row of W) ranges over
-    # all traces as W does: rows == () gives Σ, the full basis gives ∅
-    row_masks = {}
-    traces = set()
-    for mats in enumerate_subspaces(q, 4).values():
-        for rows in mats:
-            mask = prod.full
-            for row in rows:
-                if row not in row_masks:
-                    row_masks[row] = _row_mask(F, states, row)
-                mask &= row_masks[row]
-            traces.add(mask)
+    # all traces as W does: rows == () gives Σ, the full basis gives ∅.
+    # Each RREF row is the RREF row of a point, so the points' masks are
+    # every row mask
+    by_dim = enumerate_subspaces(q, 4)
+    table = {row: _row_mask(F, lam, row) for (row,) in by_dim[1]}
+    full = prod.full
+    traces = {reduce(and_, map(table.__getitem__, rows), full)
+              for mats in by_dim.values() for rows in mats}
 
     family_sys = ClosureSystem(prod, traces)
 
@@ -319,31 +322,27 @@ def tensor_trace_lattice(q: int, lam: int):
     return family_sys, report
 
 
-def _weighted_states(F, weights):
-    """The product states u ⊗ v of two projective lines over F, in product
-    atom order, with the form's weights folded in: a row r is orthogonal
-    to state x iff Σ rᵢ·(wᵢ·xᵢ) = 0."""
-    mul = F._mul
-    points = projective_line_points(F.q)
-    out = []
-    for u in points:
-        for v in points:
-            state = (mul[u[0]][v[0]], mul[u[0]][v[1]],
-                     mul[u[1]][v[0]], mul[u[1]][v[1]])
-            out.append(tuple(mul[w][x] for w, x in zip(weights, state)))
-    return out
-
-
-def _row_mask(F, states, row):
-    """Bit p set iff ``row`` is orthogonal to weighted state p, read off
-    F's add and mul tables."""
-    add, mul = F._add, F._mul
-    # mul[c] is the table row of c·_, so r0[a] = row[0]·a
-    r0, r1, r2, r3 = (mul[c] for c in row)
+def _row_mask(F, lam, row):
+    """Bit p set iff ``row`` is orthogonal to product state p = u ⊗ v under
+    the form diag(1, λ, λ, λ²), that is iff uᵀMv = 0 with
+    M = [[r₀, λr₁], [λr₂, λ²r₃]]: per point u, (α, β) = uᵀM is orthogonal
+    to all of u's block if it is 0, else to [0:1] if β = 0, else to
+    [1 : −α/β] alone."""
+    add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
+    r0, r1, r2 = row[0], mul[lam][row[1]], mul[lam][row[2]]
+    r3 = mul[mul[lam][lam]][row[3]]
+    n = F.q + 1
     mask = 0
-    for p, (a, b, c, d) in enumerate(states):
-        if add[add[r0[a]][r1[b]]][add[r2[c]][r3[d]]] == 0:
-            mask |= 1 << p
+    for i, (u0, u1) in enumerate(projective_line_points(F.q)):
+        a = add[mul[u0][r0]][mul[u1][r2]]
+        b = add[mul[u0][r1]][mul[u1][r3]]
+        if b:
+            # [1:x] is point x + 1, and [1:0] is point 0
+            x = neg[mul[a][inv[b]]]
+            bits = 1 << (x + 1 if x else 0)
+        else:
+            bits = 2 if a else (1 << n) - 1
+        mask |= bits << i * n
     return mask
 
 

@@ -4,11 +4,11 @@ from itertools import product
 
 import pytest
 
-from platlab import (check_axioms, dump_system, enumerate_closed,
+from platlab import (check_axioms, dump_system, enumerate_closed, lattice,
                      separated_product, sharp)
 from platlab.constructions import (CRelation, FactorBijection, PairingData,
-                                   _row_mask, _weighted_states, build_perp2,
-                                   build_perp3, build_perp4, build_perp5,
+                                   _row_mask, build_perp2, build_perp3,
+                                   build_perp4, build_perp5,
                                    enumerate_subspaces,
                                    gaussian_binomial, mo_pair_swap_bijection,
                                    tensor_trace_lattice)
@@ -232,6 +232,38 @@ def test_subspace_enumeration_counts(q):
         assert len(by_dim[k]) == gaussian_binomial(4, k, q)
 
 
+def old_rref_matrices(F, n, k):
+    """Oracle: every k×n RREF matrix over F with k pivots, filled cell by
+    cell, as ``enumerate_subspaces`` listed them before the row options."""
+    from itertools import combinations, product
+
+    for pivots in combinations(range(n), k):
+        free = []
+        for r in range(k):
+            for c in range(pivots[r] + 1, n):
+                if c not in pivots:
+                    free.append((r, c))
+        for values in product(range(F.q), repeat=len(free)):
+            mat = [[0] * n for _ in range(k)]
+            for r, p in enumerate(pivots):
+                mat[r][p] = 1
+            for (r, c), v in zip(free, values):
+                mat[r][c] = v
+            yield tuple(tuple(row) for row in mat)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_subspace_enumeration_order(q):
+    # the order is part of the output: plat verify prints the counts and
+    # the benchmark counts the subspaces, and the traces follow it
+    F = field(q)
+    by_dim = enumerate_subspaces(q, 4)
+    assert list(by_dim) == [0, 1, 2, 3, 4]
+    assert by_dim[0] == [()]
+    for k in range(1, 5):
+        assert by_dim[k] == list(old_rref_matrices(F, 4, k)), k
+
+
 def test_subspace_enumeration_limit():
     with pytest.raises(EnumerationLimitError):
         enumerate_subspaces(23, 4)
@@ -305,26 +337,38 @@ def test_tensor_traces_match_span_membership(q, lam):
     assert j["triples"] == triples
 
 
+Q7_CENSUS = {0: 1, 1: 64, 2: 1568, 8: 352, 15: 64, 64: 1}
+
+
 @pytest.mark.parametrize("q,lam,census", [
     (3, 1, {0: 1, 1: 16, 2: 72, 4: 32, 7: 16, 16: 1}),
     (5, 2, {0: 1, 1: 36, 2: 450, 6: 132, 11: 36, 36: 1}),
     (5, 3, {0: 1, 1: 36, 2: 450, 6: 132, 11: 36, 36: 1}),
-], ids=["q3-lam1", "q5-lam2", "q5-lam3"])
-def test_tensor_trace_sizes(q, lam, census):
+    (7, 1, Q7_CENSUS),
+    (7, 2, Q7_CENSUS),
+    (7, 4, Q7_CENSUS),
+], ids=["q3-lam1", "q5-lam2", "q5-lam3", "q7-lam1", "q7-lam2", "q7-lam4"])
+def test_tensor_trace_sizes(q, lam, census, monkeypatch):
     # a line of PG(3, q) meets the quadric of product states in 0, 1, 2 or
     # q + 1 points, and a plane in a conic (q + 1) or two lines (2q + 1):
-    # no trace has 3 atoms, so the report's triples count is 0
+    # no trace has 3 atoms, so the report's triples count is 0.  q = 7 has
+    # 2,050 traces, above the default orthocomplementation search limit
+    monkeypatch.setattr(lattice, "ORTHOCOMPLEMENT_SEARCH_LIMIT", 10**9)
     family, report = tensor_trace_lattice(q, lam)
     sizes = {}
     for m in family.masks:
         sizes[m.bit_count()] = sizes.get(m.bit_count(), 0) + 1
     assert sizes == census
+    assert report.trace_count == sum(census.values())
     assert report.triples == 0
+    # the diagonal {(i, i)} of the (q + 1) × (q + 1) product atoms
+    n2 = q + 1
+    assert report.strictness_witness == list(range(0, n2 * n2, n2 + 1))
+    assert report.orthocomplementation == "none"
 
 
 def dot_mask(F, weights, row):
-    """Oracle: the trace mask of one row, one ``F.dot`` per product state,
-    as ``tensor_trace_lattice`` computed it before the table lookups."""
+    """Oracle: the trace mask of one row, one ``F.dot`` per product state."""
     points = projective_line_points(F.q)
     states = [(F.mul(u[0], v[0]), F.mul(u[0], v[1]),
                F.mul(u[1], v[0]), F.mul(u[1], v[1]))
@@ -343,16 +387,19 @@ def _anisotropic(q, lam):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_table_masks_match_dot_masks(q):
+    # GF(9) is not prime: its negation and inverse tables are not mod 9
     F = field(q)
-    lam = next(lam for lam in F.nonzero if _anisotropic(q, lam))
-    weights = (1, lam, lam, F.mul(lam, lam))
-    states = _weighted_states(F, weights)
+    lams = [lam for lam in F.nonzero if _anisotropic(q, lam)]
+    assert len(lams) == (q - 1) // 2
     # every projective point of GF(q)^4, first nonzero coordinate 1
     points = [v for v in product(range(q), repeat=4)
               if next((x for x in v if x), 0) == 1]
     assert len(points) == (q ** 4 - 1) // (q - 1)
-    for row in points:
-        assert _row_mask(F, states, row) == dot_mask(F, weights, row), row
+    for lam in lams:
+        weights = (1, lam, lam, F.mul(lam, lam))
+        for row in points:
+            assert _row_mask(F, lam, row) == dot_mask(F, weights, row), \
+                (lam, row)
 
 
 def test_tensor_trace_rejects_isotropic_form():
