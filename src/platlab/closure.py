@@ -113,16 +113,21 @@ class AtomSubset:
         return "{" + ",".join(names) + "}"
 
 
-def polar(space, a: AtomSubset) -> AtomSubset:
-    """Atoms related to every atom of ``a``; polar(∅) = Σ."""
+def _on_rows(kernel_fn, space, a: AtomSubset) -> AtomSubset:
+    """``kernel_fn`` (a ``_kernel`` function) of ``a`` on space's rows."""
     if not _same_carrier(space, a.space):
         raise CarrierMismatchError("subset does not belong to this carrier")
-    return AtomSubset(space, _kernel.polar(space.rows, a.bits, space.full))
+    return AtomSubset(space, kernel_fn(space.rows, a.bits, space.full))
+
+
+def polar(space, a: AtomSubset) -> AtomSubset:
+    """Atoms related to every atom of ``a``; polar(∅) = Σ."""
+    return _on_rows(_kernel.polar, space, a)
 
 
 def biclosure(space, a: AtomSubset) -> AtomSubset:
     """polar∘polar: extensive, monotone and idempotent."""
-    return polar(space, polar(space, a))
+    return _on_rows(_kernel.biclosure, space, a)
 
 
 def _tie_key(carrier):
@@ -165,7 +170,8 @@ class ClosureSystem:
     closed sets is then an index bitset, and with k = |m| and w the length
     in words of an |L|-bit int:
 
-    - ``up_set(m)``, the closed supersets of m: k ANDs of w words;
+    - ``up_set(m)``, the closed supersets of m: one kernel polar over the
+      columns, k ANDs of w words;
     - ``atoms()``: one ``up_set`` per atom;
     - explicit ``coatoms()``: one ``up_set`` per closed set, O(n·|L|·w)
       in all (a relation's own system reads them off its n polar rows);
@@ -285,14 +291,9 @@ class ClosureSystem:
         return cols
 
     def up_set(self, m: int) -> int:
-        """Index bitset of the closed supersets of an arbitrary mask m."""
-        acc = (1 << len(self.masks)) - 1
-        cols = self._columns
-        while m:
-            low = m & -m
-            acc &= cols[low.bit_length() - 1]
-            m ^= low
-        return acc
+        """Index bitset of the closed supersets of an arbitrary mask m: the
+        polar of m in the context whose rows are the order core's columns."""
+        return _kernel.polar(self._columns, m, (1 << len(self)) - 1)
 
     def covers(self, a, b) -> bool:
         """True iff b covers a: a ⊊ b with no closed set strictly between.

@@ -180,23 +180,19 @@ def _require_orthogonality(rows, what: str):
         raise ValueError(f"{what} is not symmetric at ({p}, {q})")
 
 
-def _separating(space) -> Verdict:
-    """Fails at the first atom p whose singleton is not closed."""
+def validate_relation(space) -> Verdict:
+    """Check the separating law exhaustively: every singleton is closed.
+
+    ``space`` is an OrthoSpace or a ProductSpace.  Symmetry and
+    anti-reflexivity need no check, since both constructors reject rows
+    without them.  The witness is the least atom whose singleton is not
+    closed; never raises.
+    """
     for p in range(space.size):
         bit = 1 << p
         if _kernel.biclosure(space.rows, bit, space.full) != bit:
             return Verdict(False, p)
     return Verdict(True, None)
-
-
-def validate_relation(space: OrthoSpace) -> Verdict:
-    """Check the separating law exhaustively: every singleton is closed.
-
-    Symmetry and anti-reflexivity need no check, since the constructor
-    rejects rows without them.  The witness is the least atom whose
-    singleton is not closed; never raises.
-    """
-    return _separating(space)
 
 
 def dump_space(space: OrthoSpace) -> str:

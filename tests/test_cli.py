@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from platlab import (Verdict, check_axioms, dump_space, enumerate_closed,
                      make_mo, sharp)
 from platlab import cli as cli_module
+from platlab import constructions as con_module
 from platlab import sepprod as sp_module
 from platlab.cli import main, regenerate_fixtures, run_search, run_verify_suite
 from platlab.lattice import automorphisms
@@ -323,6 +324,24 @@ def test_perp4_builds_fails_when_p2_holds(monkeypatch):
     assert checks["perp4-builds"]["pass"] is False
     assert checks["perp4-builds"]["witness"] is True
     assert rep["pass"] is False
+
+
+def test_l0_report_fails_when_the_family_is_not_intersection_closed(
+        monkeypatch):
+    real = con_module.tensor_trace_lattice
+
+    def not_closed(q, lam):
+        family, report = real(q, lam)
+        return family, dataclasses.replace(report, intersection_closed=False)
+
+    monkeypatch.setattr(con_module, "tensor_trace_lattice", not_closed)
+    rep = run_verify_suite("l0", {"seed": 0, "trials": 25, "q": 3, "lam": 1})
+    checks = {c["id"]: c for c in rep["checks"]}
+    assert checks["l0-report"]["pass"] is False
+    assert checks["l0-report"]["witness"]["intersection_closed"] is False
+    assert [cid for cid, c in checks.items() if not c["pass"]] == ["l0-report"]
+    assert rep["pass"] is False
+    assert invoke("verify", "--suite", "l0").exit_code == 1
 
 
 def test_check_rejects_a_float_in_w(tmp_path):

@@ -16,8 +16,9 @@ from platlab.closure import (CarrierMismatchError, ClosureSystem,
                              EnumerationLimitError)
 from platlab.gf import field
 from platlab.lattice import automorphisms
-from platlab.orthospace import (_separating, make_quadratic_line_space,
-                                projective_line_points)
+from platlab.orthospace import (_rows_from_pairs, make_quadratic_line_space,
+                                projective_line_points, validate_relation)
+from platlab.sepprod import ProductSpace
 from test_closure import canonical_key
 
 C_MO2 = [[2], [3], [0], [1]]  # pair a1↔a2, a1'↔a2'
@@ -187,6 +188,32 @@ def test_perp4_rows_match_the_defining_formula(setup):
     assert built > 20
 
 
+PAIRING_MO2 = PairingData(((0,), (1,), (2,), (3,)),
+                          ({0: 10}, {1: 15}, {2: 0}, {3: 5}))
+BUILDERS = {
+    "perp2": lambda prod, C: build_perp2(prod, C, C),
+    "perp3": lambda prod, C: build_perp3(prod, C, C),
+    "perp4": lambda prod, C: build_perp4(prod, PAIRING_MO2),
+    "perp5": lambda prod, C: build_perp5(prod, mo_pair_swap_bijection(2),
+                                         mo_pair_swap_bijection(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builders_read_sharp_off_the_rows(setup, name):
+    # # is decided by the rows; relation_name is only a label
+    prod, _, C = setup
+    build = BUILDERS[name]
+    assert not prod.rows[0] >> 10 & 1  # (a1, a1) and (a2, a2) are not #
+    not_sharp = ProductSpace(prod.left, prod.right,
+                             _rows_from_pairs(prod.rows, [(0, 10)]), "sharp")
+    with pytest.raises(ValueError,
+                       match="builders start from the # product space"):
+        build(not_sharp, C)
+    relabelled = ProductSpace(prod.left, prod.right, prod.rows, "candidate")
+    assert build(relabelled, C).rows == build(prod, C).rows
+
+
 def test_factor_bijection_validation(mo2):
     with pytest.raises(ValueError, match="identity"):
         FactorBijection((0, 1, 2, 3)).validate(mo2)
@@ -209,7 +236,7 @@ def test_perp5_same_closed_family_but_p5_fails(setup, mo2_sys):
     base_sys = enumerate_closed(prod)
     rel_sys = enumerate_closed(rel)
     assert dump_system(rel_sys) == dump_system(base_sys)
-    assert _separating(rel).holds
+    assert validate_relation(rel).holds
     rep = check_axioms(rel, mo2_sys, mo2_sys, W, W, rel_sys).to_json()
     assert rep["P2"]["holds"] and rep["P3"]["holds"] and rep["P4"]["holds"]
     assert rep["P5"]["holds"] is False

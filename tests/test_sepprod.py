@@ -17,7 +17,7 @@ from platlab.closure import (CarrierMismatchError, ClosureSystem,
                              EnumerationLimitError, polar)
 from platlab.lattice import apply_perm_mask, automorphisms
 from platlab.orthospace import (OrthoSpace, Verdict, _rows_from_pairs,
-                                _separating)
+                                validate_relation)
 from platlab.sepprod import (DanielConditionError, ProductSpace,
                              default_edge_sampler)
 
@@ -71,10 +71,20 @@ def test_coatom_is_cylinder_union(mo2_product):
 
 
 def test_p_sharp_requires_sharp_relation(mo2):
+    # # is decided by the rows; relation_name is only a label
     n = mo2.size ** 2
     prod = ProductSpace(mo2, mo2, [0] * n, "other")
     with pytest.raises(ValueError, match="p_sharp"):
         p_sharp(prod, 0)
+    prod = sharp(mo2, mo2)
+    assert not prod.rows[0] >> 10 & 1  # (a1, a1) and (a2, a2) are not #
+    not_sharp = ProductSpace(mo2, mo2, _rows_from_pairs(prod.rows, [(0, 10)]),
+                             "sharp")
+    with pytest.raises(ValueError, match="p_sharp is defined for the # "):
+        p_sharp(not_sharp, 0)
+    relabelled = ProductSpace(mo2, mo2, prod.rows, "candidate")
+    assert [p_sharp(relabelled, p).bits
+            for p in range(prod.size)] == list(prod.rows)
 
 
 @pytest.mark.parametrize("n,count", [(2, 72), (3, 450)])
@@ -687,7 +697,7 @@ def test_check_axioms_scans_for_p3_over_a_32_atom_factor():
 
 def old_first_failing_axiom(prod, L1sys, L2sys, W1, W2):
     """Cheapest-first scan; returns the axiom name or None."""
-    if not _separating(prod).holds:
+    if not validate_relation(prod).holds:
         return "separating"
     sys = enumerate_closed(prod)
     if not sepprod._check_p2_cylinders(prod, sys, L1sys, L2sys).holds:
