@@ -113,21 +113,18 @@ class AtomSubset:
         return "{" + ",".join(names) + "}"
 
 
-def _on_rows(kernel_fn, space, a: AtomSubset) -> AtomSubset:
-    """``kernel_fn`` (a ``_kernel`` function) of ``a`` on space's rows."""
-    if not _same_carrier(space, a.space):
-        raise CarrierMismatchError("subset does not belong to this carrier")
-    return AtomSubset(space, kernel_fn(space.rows, a.bits, space.full))
-
-
 def polar(space, a: AtomSubset) -> AtomSubset:
     """Atoms related to every atom of ``a``; polar(∅) = Σ."""
-    return _on_rows(_kernel.polar, space, a)
+    if not _same_carrier(space, a.space):
+        raise CarrierMismatchError("subset does not belong to this carrier")
+    return AtomSubset(space, _kernel.polar(space.rows, a.bits, space.full))
 
 
 def biclosure(space, a: AtomSubset) -> AtomSubset:
     """polar∘polar: extensive, monotone and idempotent."""
-    return _on_rows(_kernel.biclosure, space, a)
+    if not _same_carrier(space, a.space):
+        raise CarrierMismatchError("subset does not belong to this carrier")
+    return AtomSubset(space, _kernel.biclosure(space.rows, a.bits, space.full))
 
 
 def _tie_key(carrier):

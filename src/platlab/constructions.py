@@ -26,7 +26,7 @@ from .lattice import (apply_perm_mask, find_orthocomplementation, invert,
 from .orthospace import (OrthoSpace, _require_orthogonality, _rows_from_pairs,
                          make_mo, make_quadratic_line_space,
                          projective_line_points)
-from .sepprod import ProductSpace, _lift, _require_sharp, separated_product
+from .sepprod import ProductSpace, _is_sharp, _lift, separated_product
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,14 @@ class CRelation:
         return cls(space, tuple([0] * space.size))
 
 
-_NOT_SHARP = "builders start from the # product space"
+def _require_sharp(prod: ProductSpace):
+    if not _is_sharp(prod):
+        raise ValueError("builders start from the # product space")
 
 
 def _sharp_plus(prod, C1, C2, block, name) -> ProductSpace:
     # rows p^# ∪ block(C(p₁), C(p₂))
-    _require_sharp(prod, _NOT_SHARP)
+    _require_sharp(prod)
     if C1.space != prod.left or C2.space != prod.right:
         raise ValueError("C-relations must live on the product factors")
     rows = [prod.sharp_row(prod.encode(i, j)) | block(c1, c2)
@@ -136,7 +138,7 @@ class PairingData:
 def build_perp4(prod: ProductSpace, data: PairingData) -> ProductSpace:
     """Relation p^# ∪ f(p)^# ∪ f⁻¹(p^#) where f sends the diagonal atom
     (a, a) to its paired product atom and every other atom to Σ."""
-    _require_sharp(prod, _NOT_SHARP)
+    _require_sharp(prod)
     if prod.left != prod.right:
         raise ValueError("pairing construction needs a square product with "
                          "identified factors")
@@ -182,7 +184,7 @@ class FactorBijection:
 def build_perp5(prod: ProductSpace, f1: FactorBijection, f2: FactorBijection
                 ) -> ProductSpace:
     """Twisted relation: p ⊥ q iff q ∈ ((f₁×f₂)(p))^#."""
-    _require_sharp(prod, _NOT_SHARP)
+    _require_sharp(prod)
     f1.validate(prod.left)
     f2.validate(prod.right)
     rows = [prod.sharp_row(q)

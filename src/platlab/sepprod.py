@@ -86,11 +86,10 @@ def _sharp_rows(left: OrthoSpace, right: OrthoSpace):
     return tuple(a | b for a in c1 for b in c2)
 
 
-def _require_sharp(prod: ProductSpace, message: str):
-    """Raise ValueError(message) unless prod's rows are the # rows; its
-    ``relation_name`` is only a label."""
-    if prod.rows != _sharp_rows(prod.left, prod.right):
-        raise ValueError(message)
+def _is_sharp(prod: ProductSpace) -> bool:
+    """Is prod's relation #?  Decided by its rows; ``relation_name`` is
+    only a label."""
+    return prod.rows == _sharp_rows(prod.left, prod.right)
 
 
 def sharp(left: OrthoSpace, right: OrthoSpace) -> ProductSpace:
@@ -106,8 +105,9 @@ def separated_product(left: OrthoSpace, right: OrthoSpace):
 
 def p_sharp(prod: ProductSpace, p: int) -> AtomSubset:
     """The # coatom of atom p, as the explicit two-cylinder union."""
-    _require_sharp(prod, "p_sharp is defined for the # relation; "
-                   "use polar() for candidate relations")
+    if not _is_sharp(prod):
+        raise ValueError("p_sharp is defined for the # relation; "
+                         "use polar() for candidate relations")
     return AtomSubset(prod, prod.sharp_row(p))
 
 
