@@ -113,18 +113,20 @@ class AtomSubset:
         return "{" + ",".join(names) + "}"
 
 
-def polar(space, a: AtomSubset) -> AtomSubset:
-    """Atoms related to every atom of ``a``; polar(∅) = Σ."""
+def _on_carrier(space, a: AtomSubset, kernel_op) -> AtomSubset:
     if not _same_carrier(space, a.space):
         raise CarrierMismatchError("subset does not belong to this carrier")
-    return AtomSubset(space, _kernel.polar(space.rows, a.bits, space.full))
+    return AtomSubset(space, kernel_op(space.rows, a.bits, space.full))
+
+
+def polar(space, a: AtomSubset) -> AtomSubset:
+    """Atoms related to every atom of ``a``; polar(∅) = Σ."""
+    return _on_carrier(space, a, _kernel.polar)
 
 
 def biclosure(space, a: AtomSubset) -> AtomSubset:
     """polar∘polar: extensive, monotone and idempotent."""
-    if not _same_carrier(space, a.space):
-        raise CarrierMismatchError("subset does not belong to this carrier")
-    return AtomSubset(space, _kernel.biclosure(space.rows, a.bits, space.full))
+    return _on_carrier(space, a, _kernel.biclosure)
 
 
 def _tie_key(carrier):
