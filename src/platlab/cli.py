@@ -314,9 +314,10 @@ def _suite_lemmas(config):
                    "closed polar shadows on both factors imply P3",
                    not ok or report.to_json()["P3"]["holds"] is True, None))
 
+    # a relation system's join is one biclosure, so L# is not enumerated
     for n in (2, 3):
         mon = make_mo(n)
-        pr, ps = sp.separated_product(mon, mon)
+        pr = sp.sharp(mon, mon)
         bad = None
         count = 0
         for p in range(pr.size):
@@ -326,7 +327,8 @@ def _suite_lemmas(config):
                 if p1 == q1 or p2 == q2:
                     continue
                 count += 1
-                if ps.join_mask((1 << p) | (1 << q)) != (1 << p) | (1 << q):
+                pair = (1 << p) | (1 << q)
+                if _kernel.biclosure(pr.rows, pair, pr.full) != pair:
                     bad = (p, q)
         checks.append((f"distinct-pair-joins-mo{n}",
                        f"all {count} product-distinct atom pairs join to "
@@ -422,8 +424,7 @@ def _suite_constructions(config):
                    and rep5["P5"]["witness"] is not None,
                    rep5["P5"]["witness"]))
 
-    data = con.PairingData(((0,), (1,), (2,), (3,)),
-                           ({0: 10}, {1: 15}, {2: 0}, {3: 5}))
+    data = con.PairingData(({0: 10}, {1: 15}, {2: 0}, {3: 5}))
     l4 = con.build_perp4(prod, data)
     rep4 = sp.check_axioms(l4, sys2, sys2, W, W).to_json()
     # the minimal pairing data on mo2 makes the relation non-separating, so
@@ -539,7 +540,7 @@ def run_search(budget: int, seed: int, factor_n: int = 2) -> dict:
     mo = make_mo(factor_n)
     msys = enumerate_closed(mo)
     W = list(lat.automorphisms(mo, msys, mode="ortho"))
-    base, base_sys = sp.separated_product(mo, mo)
+    base = sp.sharp(mo, mo)
     rng = random.Random(seed)
     counts = {"fails_axiom": 0, "equal_as_p_lattice": 0, "distinct_family": 0}
     hits = []
@@ -555,8 +556,9 @@ def run_search(budget: int, seed: int, factor_n: int = 2) -> dict:
             counts["fails_axiom"] += 1
             continue
         # P2 puts the # rows, so L#, inside L; L is the meets of its rows
-        # and Σ, so L = L# iff every row is in L#
-        if all(row in base_sys.sets for row in rows):
+        # and Σ, so L = L# iff every row is #-closed, one biclosure each
+        if all(_kernel.biclosure(base.rows, row, base.full) == row
+               for row in rows):
             counts["equal_as_p_lattice"] += 1
         else:
             counts["distinct_family"] += 1

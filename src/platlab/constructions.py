@@ -87,23 +87,16 @@ def build_perp3(prod: ProductSpace, C1: CRelation, C2: CRelation
 
 @dataclass(frozen=True)
 class PairingData:
-    """Partition A₁..A₄ of Σ₁ with injective maps gᵢ: Aᵢ → product atoms."""
-    partition: tuple  # four tuples of factor-atom indices
-    maps: tuple       # four dicts atom → product atom
-
-    @classmethod
-    def from_json(cls, doc) -> "PairingData":
-        part = tuple(tuple(block) for block in doc["partition"])
-        maps = tuple({int(k): v for k, v in block.items()}
-                     for block in doc["maps"])
-        return cls(part, maps)
+    """Injective maps gᵢ: Aᵢ → product atoms, i = 1..4, whose domains
+    A₁..A₄ partition Σ₁."""
+    maps: tuple  # four dicts factor atom → product atom
 
     def validate(self, prod: ProductSpace):
-        if len(self.partition) != 4 or len(self.maps) != 4:
+        if len(self.maps) != 4:
             raise ValueError("pairing data needs exactly four blocks")
         seen = set()
-        for block in self.partition:
-            for a in block:
+        for g in self.maps:
+            for a in g:
                 if type(a) is not int or not 0 <= a < prod.left.size:
                     raise ValueError(
                         f"partition atom is not a factor atom: {a!r}")
@@ -112,9 +105,7 @@ class PairingData:
                 seen.add(a)
         if len(seen) != prod.left.size:
             raise ValueError("partition does not cover the factor atoms")
-        for block, g in zip(self.partition, self.maps):
-            if set(g) != set(block):
-                raise ValueError("map domain differs from its block")
+        for g in self.maps:
             if len(set(g.values())) != len(g):
                 raise ValueError("map is not injective on its block")
             for a, target in g.items():
@@ -128,12 +119,6 @@ class PairingData:
                         f"at atom {a}: g({a}) = {target} lies in "
                         f"({a},{a})^#")
 
-    def image_of_diagonal(self, prod: ProductSpace, a: int):
-        for block, g in zip(self.partition, self.maps):
-            if a in g:
-                return g[a]
-        raise KeyError(a)
-
 
 def build_perp4(prod: ProductSpace, data: PairingData) -> ProductSpace:
     """Relation p^# ∪ f(p)^# ∪ f⁻¹(p^#) where f sends the diagonal atom
@@ -145,8 +130,8 @@ def build_perp4(prod: ProductSpace, data: PairingData) -> ProductSpace:
     data.validate(prod)
     # # is symmetric, so f(q) ∈ p^# iff p ∈ f(q)^#: the relation is # with
     # each p in the domain of f related to f(p)^#, both ways
-    f = {prod.encode(a, a): data.image_of_diagonal(prod, a)
-         for a in range(prod.left.size)}
+    f = {prod.encode(a, a): target
+         for g in data.maps for a, target in g.items()}
     rows = _rows_from_pairs(prod.rows, [(p, q) for p, fp in f.items()
                                         for q in ids(prod.sharp_row(fp))])
     return ProductSpace(prod.left, prod.right, rows, "perp4")
@@ -262,9 +247,15 @@ def _rref_matrices(F, n, k):
 
 @dataclass
 class L0Report:
-    """``triples`` counts traces of 3 pairwise product-distinct atoms. It
-    reads 0 at every odd q, as a trace has 0, 1, 2, q + 1, 2q + 1 or
-    (q + 1)² atoms; it stays so that the reports keep their bytes."""
+    """``triples`` counts traces of 3 pairwise product-distinct atoms, and
+    is 0 by proof, not by a scan.  The product states are the (q + 1)²
+    points of the quadric Q = {u ⊗ v} in PG(3, q), and a trace is V ∩ Q for
+    a subspace V.  A point meets Q in 0 or 1 points, a line in 0, 1, 2 or
+    q + 1, a plane in a conic (q + 1) or two lines (2q + 1), and the whole
+    space in all (q + 1)².  Every q that tensor_trace_lattice accepts is
+    odd (even q is refused, and q = 1 is not a prime power), so q ≥ 3,
+    q + 1 ≥ 4, and no trace has 3 atoms.  The field stays so that the
+    reports keep their bytes."""
     trace_count: int
     intersection_closed: bool
     contains_sepprod: bool
@@ -306,8 +297,6 @@ def tensor_trace_lattice(q: int, lam: int):
 
     contains = sepsys.sets <= family_sys.sets
     witness = family_sys.first(lambda m: m not in sepsys.sets)
-    triples = sum(1 for m in traces
-                  if m.bit_count() == 3 and _pairwise_product_distinct(prod, m))
     oc = find_orthocomplementation(family_sys)
     report = L0Report(
         trace_count=len(traces),
@@ -316,7 +305,7 @@ def tensor_trace_lattice(q: int, lam: int):
         contains_sepprod=contains,
         strict=witness is not None,
         strictness_witness=ids(witness) if witness is not None else [],
-        triples=triples,
+        triples=0,  # see L0Report
         orthocomplementation="none" if oc is None else "found",
     )
     return family_sys, report
@@ -345,11 +334,3 @@ def _row_mask(F, lam, row):
         mask |= bits << i * n
     return mask
 
-
-def _pairwise_product_distinct(prod: ProductSpace, mask: int) -> bool:
-    atoms = [prod.decode(p) for p in ids(mask)]
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            if atoms[i][0] == atoms[j][0] or atoms[i][1] == atoms[j][1]:
-                return False
-    return True

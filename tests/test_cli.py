@@ -1,17 +1,22 @@
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from platlab import (Verdict, check_axioms, dump_space, enumerate_closed,
-                     make_mo, sharp)
+from platlab import (AtomSubset, Verdict, check_axioms, dump_space,
+                     enumerate_closed, make_mo, separated_product, sharp)
+from platlab import _kernel
 from platlab import cli as cli_module
 from platlab import constructions as con_module
 from platlab import sepprod as sp_module
-from platlab.cli import main, regenerate_fixtures, run_search, run_verify_suite
+from platlab.bits import ids
+from platlab.cli import (VERIFY_DEFAULTS, main, regenerate_fixtures,
+                         run_search, run_verify_suite)
 from platlab.lattice import automorphisms
+from platlab.orthospace import _rows_from_pairs
 
 runner = CliRunner()
 # outputs of plat product, check and search that the commands must keep
@@ -215,6 +220,16 @@ def test_fixtures_regen_matches_committed(tmp_path, fixture_dir):
             (fixture_dir / name).read_bytes(), name
 
 
+def test_fixtures_regen_command_lists_each_file_once(tmp_path, fixture_dir):
+    res = runner.invoke(main, ["fixtures", "--regen", "--dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    listed = res.stdout.splitlines()
+    assert len(listed) == len(set(listed)) == 13
+    for name in listed:
+        assert (tmp_path / name).read_bytes() == \
+            (fixture_dir / name).read_bytes(), name
+
+
 def test_product_enumerate_over_limit_is_usage_error(tmp_path):
     sp = tmp_path / "mo5.json"
     sp.write_text(dump_space(make_mo(5)))
@@ -403,3 +418,127 @@ def test_broken_pipe_is_not_a_usage_error(monkeypatch):
     res = invoke("search", "--budget", "1")
     assert res.exit_code == 1
     assert "Error:" not in res.output
+
+
+# every verify check can fail: each test below swaps the one library call a
+# check reads and expects that check, and only it, to fail
+
+def failed_checks(suite):
+    """{id: witness} of the failing checks; the suite must fail."""
+    rep = run_verify_suite(suite, {**VERIFY_DEFAULTS, "trials": 25})
+    assert rep["pass"] is False
+    return {c["id"]: c["witness"] for c in rep["checks"] if not c["pass"]}
+
+
+def first_closure_draw():
+    """The closure suite's first pair of random subsets of MO3 × MO3."""
+    rng = random.Random(VERIFY_DEFAULTS["seed"])
+    return rng.randrange(1 << 36), rng.randrange(1 << 36)
+
+
+def test_closure_laws_fail_when_biclosure_is_not_extensive(monkeypatch):
+    a, _ = first_closure_draw()
+    monkeypatch.setattr(cli_module, "biclosure",
+                        lambda space, x: AtomSubset(space, 0))
+    assert failed_checks("closure") == {
+        "closure-laws-mo3-product": ("extensive", ids(a))}
+
+
+def test_closure_laws_fail_when_biclosure_is_not_idempotent(monkeypatch):
+    # each call adds the lowest atom still missing
+    a, _ = first_closure_draw()
+    monkeypatch.setattr(cli_module, "biclosure", lambda space, x: AtomSubset(
+        space, x.bits | (x.bits + 1) & ~x.bits))
+    assert failed_checks("closure") == {
+        "closure-laws-mo3-product": ("idempotent", ids(a))}
+
+
+def test_closure_laws_fail_when_biclosure_is_not_monotone(monkeypatch):
+    # sets as large as the first draw are closed, smaller ones close to Σ
+    a, b = first_closure_draw()
+    assert (a & b).bit_count() < a.bit_count()
+    monkeypatch.setattr(cli_module, "biclosure", lambda space, x: x if (
+        x.bits.bit_count() >= a.bit_count()) else AtomSubset.universe(space))
+    assert failed_checks("closure") == {
+        "closure-laws-mo3-product": ("monotone", ids(a & b))}
+
+
+def test_closure_laws_fail_when_the_triple_polar_law_does(monkeypatch):
+    # with polar the identity, a^⊥⊥⊥ = a^⊥⊥ ≠ a = a^⊥ for a non-closed a
+    a, _ = first_closure_draw()
+    prod = sharp(make_mo(3), make_mo(3))
+    assert _kernel.biclosure(prod.rows, a, prod.full) != a
+    monkeypatch.setattr(cli_module, "polar", lambda space, x: x)
+    assert failed_checks("closure") == {
+        "closure-laws-mo3-product": ("triple-polar", ids(a))}
+
+
+def test_coatom_shrink_fails_when_a_relation_is_not_separating(monkeypatch):
+    monkeypatch.setattr(cli_module, "validate_relation",
+                        lambda space: Verdict(False, None))
+    assert failed_checks("lemmas") == {
+        "coatom-shrink-implies-separating": None}
+
+
+def test_closed_shadows_fail_only_when_p3_fails(monkeypatch):
+    real = sp_module.check_axioms
+
+    def p3_fails_on_sharp(prod, *args):
+        rep = real(prod, *args)
+        if prod.relation_name == "sharp":
+            rep = dataclasses.replace(rep, p3=Verdict(False, None))
+        return rep
+
+    monkeypatch.setattr(sp_module, "check_axioms", p3_fails_on_sharp)
+    assert failed_checks("lemmas") == {"closed-shadows-imply-p3": None}
+    # a shadow outside the factor family makes the implication vacuous
+    monkeypatch.setattr(sp_module, "p_hash_components", lambda prod, p: (
+        AtomSubset(prod.left, 0b101), AtomSubset(prod.right, 0), 0))
+    rep = run_verify_suite("lemmas", {**VERIFY_DEFAULTS, "trials": 25})
+    assert rep["pass"] is True
+
+
+def test_distinct_pair_joins_fail_when_a_pair_is_not_closed(monkeypatch):
+    # (0,0) and (1,1) are the first product-distinct pair of MO2 × MO2
+    rows = sharp(make_mo(2), make_mo(2)).rows
+    pair = 1 << 0 | 1 << 5
+    real = _kernel.biclosure
+    monkeypatch.setattr(_kernel, "biclosure", lambda r, m, full: full if (
+        r == rows and m == pair) else real(r, m, full))
+    assert failed_checks("lemmas") == {"distinct-pair-joins-mo2": (0, 5)}
+
+
+def test_failing_map_check_fails_when_the_lift_does_not_raise(monkeypatch):
+    monkeypatch.setattr(sp_module, "daniel_lift", lambda f, src, dst: None)
+    assert failed_checks("lemmas") == {"join-lift-failing-map": None}
+
+
+def test_search_reports_a_distinct_family(monkeypatch):
+    # every draw passes P1-P4; on MO2 × MO2 each of them has a row outside
+    # L#, and an enumeration of both families confirms it
+    monkeypatch.setattr(sp_module, "_first_failing_axiom", lambda *a: None)
+    report = run_search(budget=4, seed=0, factor_n=2)
+    assert report["counts"] == {"fails_axiom": 0, "equal_as_p_lattice": 0,
+                                "distinct_family": 4}
+    assert report["conclusion"] == "distinct-family candidate found"
+    mo2 = make_mo(2)
+    _, sharp_sys = separated_product(mo2, mo2)
+    hits = report["distinct_family_hits"]
+    assert len(hits) == 4
+    for pairs in hits:
+        rows = _rows_from_pairs([0] * 16, pairs)
+        relation = sp_module.ProductSpace(mo2, mo2, rows, "candidate")
+        assert enumerate_closed(relation).sets != sharp_sys.sets
+
+
+def test_perturbations_count_theorem_contradictions(monkeypatch):
+    monkeypatch.setattr(sp_module, "_first_failing_axiom", lambda *a: None)
+    mo2 = make_mo(2)
+    summary = sp_module.perturbation_test(mo2, mo2, trials=5, seed=0)
+    assert summary.theorem_contradictions == 5
+    assert set(summary.failures_by_axiom.values()) == {0}
+    assert failed_checks("theorem2") == {
+        "perturbations-all-fail": {
+            "trials": 25, "seed": 0, "theorem_contradictions": 25,
+            "failures_by_axiom": {"separating": 0, "P2": 0, "P3": 0,
+                                  "P4": 0}}}

@@ -111,44 +111,35 @@ def test_perp3_breaks_p3(setup, mo2_sys):
 def test_pairing_data_validation(setup, mo2):
     prod, W, C = setup
     with pytest.raises(ValueError, match="four blocks"):
-        PairingData(((0, 1), (2, 3)), ({}, {})).validate(prod)
+        PairingData(({}, {})).validate(prod)
+    with pytest.raises(ValueError, match="overlap at atom 1"):
+        PairingData(({0: 10, 1: 15}, {1: 15}, {2: 0}, {3: 5})).validate(prod)
     with pytest.raises(ValueError, match="cover"):
-        PairingData(((0,), (1,), (2,), ()),
-                    ({0: 10}, {1: 15}, {2: 0}, {})).validate(prod)
+        PairingData(({0: 10}, {1: 15}, {2: 0}, {})).validate(prod)
+    with pytest.raises(ValueError, match="not injective"):
+        PairingData(({0: 10, 1: 10}, {}, {2: 0}, {3: 5})).validate(prod)
     with pytest.raises(ValueError, match="coatom-disjointness"):
         # (a1,a1)^# contains column/row mates of its coordinates
-        PairingData(((0,), (1,), (2,), (3,)),
-                    ({0: 1}, {1: 15}, {2: 0}, {3: 5})).validate(prod)
+        PairingData(({0: 1}, {1: 15}, {2: 0}, {3: 5})).validate(prod)
     # an index is an int: a float or a bool equal to one is refused
-    for part in (((0,), (1,), (2,), (3.0,)), ((0,), (True,), (2,), (3,))):
+    for maps in (({0: 10}, {1: 15}, {2: 0}, {3.0: 5}),
+                 ({0: 10}, {True: 15}, {2: 0}, {3: 5})):
         with pytest.raises(ValueError, match="not a factor atom"):
-            PairingData(part, ({0: 10}, {1: 15}, {2: 0}, {3: 5})
-                        ).validate(prod)
+            PairingData(maps).validate(prod)
     for target in (10.0, True):
         with pytest.raises(ValueError, match="not a product atom"):
-            PairingData(((0,), (1,), (2,), (3,)),
-                        ({0: target}, {1: 15}, {2: 0}, {3: 5})).validate(prod)
-    good = PairingData(((0,), (1,), (2,), (3,)),
-                       ({0: 10}, {1: 15}, {2: 0}, {3: 5}))
+            PairingData(({0: target}, {1: 15}, {2: 0}, {3: 5})
+                        ).validate(prod)
+    good = PairingData(({0: 10}, {1: 15}, {2: 0}, {3: 5}))
     good.validate(prod)
-    assert good.image_of_diagonal(prod, 1) == 15
-
-
-def test_pairing_data_round_trip(setup):
-    prod, W, C = setup
-    doc = {"partition": [[0], [1], [2], [3]],
-           "maps": [{"0": 10}, {"1": 15}, {"2": 0}, {"3": 5}]}
-    data = PairingData.from_json(doc)
-    data.validate(prod)
-    doc["maps"][0] = {"0": 10.0}
-    with pytest.raises(ValueError, match="not a product atom: 10.0"):
-        PairingData.from_json(doc).validate(prod)
+    # the diagonal atom (1, 1) is paired with g(1) = 15
+    row = build_perp4(prod, good).rows[prod.encode(1, 1)]
+    assert row & prod.sharp_row(15) == prod.sharp_row(15)
 
 
 def test_perp4_builds_and_reports(setup, mo2_sys):
     prod, W, C = setup
-    data = PairingData(((0,), (1,), (2,), (3,)),
-                       ({0: 10}, {1: 15}, {2: 0}, {3: 5}))
+    data = PairingData(({0: 10}, {1: 15}, {2: 0}, {3: 5}))
     rel = build_perp4(prod, data)
     # the # part is always included and the extra pairs are symmetric
     for p in range(rel.size):
@@ -169,8 +160,7 @@ def test_perp4_rows_match_the_defining_formula(setup):
     built = 0
     for _ in range(400):
         targets = [rng.randrange(prod.size) for _ in range(4)]
-        data = PairingData(((0,), (1,), (2,), (3,)),
-                           tuple({a: t} for a, t in enumerate(targets)))
+        data = PairingData(tuple({a: t} for a, t in enumerate(targets)))
         try:
             data.validate(prod)
         except ValueError:
@@ -188,8 +178,7 @@ def test_perp4_rows_match_the_defining_formula(setup):
     assert built > 20
 
 
-PAIRING_MO2 = PairingData(((0,), (1,), (2,), (3,)),
-                          ({0: 10}, {1: 15}, {2: 0}, {3: 5}))
+PAIRING_MO2 = PairingData(({0: 10}, {1: 15}, {2: 0}, {3: 5}))
 BUILDERS = {
     "perp2": lambda prod, C: build_perp2(prod, C, C),
     "perp3": lambda prod, C: build_perp3(prod, C, C),

@@ -1,11 +1,14 @@
-"""Every name a platlab module imports is used in it.
+"""Every name a platlab module imports is read through that import.
 
-A name listed in the module's ``__all__`` counts as used (it is
-re-exported), and so does one imported on a line marked ``# noqa: F401``.
-Only the standard library is used, so the guard runs wherever the tests do.
+A read counts only where it resolves to the import's binding, so a local of
+the same name shadows it.  A name listed in the module's ``__all__`` counts
+as read (it is re-exported), and so does one imported on a line marked
+``# noqa: F401``.  Only the standard library is used (``symtable`` resolves
+each read to its scope), so the guard runs wherever the tests do.
 """
 
 import ast
+import symtable
 from pathlib import Path
 
 import pytest
@@ -13,28 +16,82 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "platlab"
 
 
+def _reads(table, enclosing=()):
+    """(id of the binding scope, name) for each name read in ``table`` or
+    in a scope nested in it."""
+    for sym in table.get_symbols():
+        if not sym.is_referenced():
+            continue
+        name = sym.get_name()
+        if name == "__class__":
+            continue  # the implicit cell of super(), bound by no statement
+        if sym.is_free():
+            # a closure reads the nearest enclosing function binding it
+            owner = next(t for t in reversed(enclosing)
+                         if t.get_type() == "function"
+                         and name in t.get_identifiers()
+                         and t.lookup(name).is_local())
+        elif sym.is_global():
+            owner = enclosing[0] if enclosing else table
+        else:
+            owner = table
+        yield owner.get_id(), name
+    for child in table.get_children():
+        yield from _reads(child, enclosing + (table,))
+
+
+def _tables(table):
+    yield table
+    for child in table.get_children():
+        yield from _tables(child)
+
+
+def _imports(node, scope=None):
+    """(scope, import node) for each import; the scope is the (name, line)
+    of the innermost def or class holding it, None for the module."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield scope, child
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = (child.name, child.lineno)
+        yield from _imports(child, inner)
+
+
 def unused_imports(source: str):
-    """(line, name) for each imported name that ``source`` never uses."""
+    """(line, name) for each imported name that ``source`` never reads
+    through the binding the import made."""
     tree = ast.parse(source)
     lines = source.splitlines()
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = symtable.symtable(source, "<module>", "exec")
+    top = module.get_id()
+    used = set(_reads(module))
+    # under `from __future__ import annotations` symtable skips annotations;
+    # their names resolve among the module's globals
     for node in ast.walk(tree):
+        for ann in (getattr(node, "annotation", None),
+                    getattr(node, "returns", None)):
+            if ann is not None:
+                used.update((top, n.id) for n in ast.walk(ann)
+                            if isinstance(n, ast.Name))
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+            used.update((top, name) for name in ast.literal_eval(node.value))
+    scopes = {(t.get_name(), t.get_lineno()): t.get_id()
+              for t in _tables(module) if t is not module}
     unused = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
+    for scope, node in _imports(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if any("# noqa: F401" in line
                for line in lines[node.lineno - 1:node.end_lineno]):
             continue
+        owner = top if scope is None else scopes[scope]
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]
-            if name not in used:
+            if (owner, name) not in used:
                 unused.append((node.lineno, name))
     return unused
 
@@ -55,3 +112,32 @@ def test_the_guard_finds_an_unused_import():
               "__all__ = ['e']\n"
               "print(_sys.argv, g)\n")
     assert unused_imports(source) == [(2, "os"), (4, "f")]
+
+
+def test_the_guard_sees_a_shadowing_local():
+    # _orthogonal binds a local ``bits``, which reads nothing of the module
+    source = (SRC / "orthospace.py").read_text()
+    marker = "from . import _kernel\n"
+    assert "bits = " in source and marker in source
+    source = source.replace(marker, marker + "from . import bits\n")
+    line = source.splitlines().index("from . import bits") + 1
+    assert unused_imports(source) == [(line, "bits")]
+
+
+def test_the_guard_resolves_nested_scopes():
+    source = ("import a, b, c, d\n"
+              "def f():\n"
+              "    import e\n"
+              "    c = 1\n"
+              "    def g(x: d):\n"
+              "        return a, c, e\n"
+              "    return g\n"
+              "class K:\n"
+              "    b = 2\n"
+              "    y = b\n"
+              "    def m(self):\n"
+              "        return [b for _ in ()]\n")
+    # a is read in g, b by the method's comprehension (class names are not
+    # visible there), d in an annotation, e through g's closure; c is
+    # shadowed by f's local
+    assert unused_imports(source) == [(1, "c")]
