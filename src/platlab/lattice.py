@@ -67,15 +67,6 @@ def apply_perm_mask(perm, mask):
     return out
 
 
-def _moved_row(rows, perm):
-    """The first atom p whose row perm does not carry onto rows[perm[p]],
-    or None: None iff perm keeps the relation."""
-    for p, q in enumerate(perm):
-        if apply_perm_mask(perm, rows[p]) != rows[q]:
-            return p
-    return None
-
-
 def is_closed_group(elements, degree) -> bool:
     es = set(elements)
     if tuple(range(degree)) not in es:

@@ -17,8 +17,8 @@ from . import _kernel, lattice
 from .bits import ids, rect
 from .closure import (AtomSubset, CarrierMismatchError, ClosureSystem,
                       EnumerationLimitError, canonical_order, enumerate_closed)
-from .lattice import (_moved_row, _require_own_system, apply_perm_mask,
-                      automorphisms, invert, is_permutation)
+from .lattice import (_require_own_system, apply_perm_mask, automorphisms,
+                      invert, is_permutation)
 from .orthospace import (OrthoSpace, Verdict, _require_orthogonality,
                          _rows_from_pairs, validate_relation)
 
@@ -246,13 +246,15 @@ def _check_p3(prod, sys, L1sys, L2sys) -> Verdict:
 
 @lru_cache(maxsize=64)
 def _lift_table(W1, W2, n1, n2):
-    """(u₁, u₂, image bit of each atom) for each pair of W₁ × W₂ in order,
-    but the identity lift, which fixes every set and every row; once per
-    (W₁, W₂, n₁, n₂), W a tuple of tuples."""
+    """(u₁, u₂, image of each atom, image bit of each atom) for each pair of
+    W₁ × W₂ in order, but the identity lift, which fixes every set and every
+    row; once per (W₁, W₂, n₁, n₂), W a tuple of tuples."""
     id1, id2 = tuple(range(n1)), tuple(range(n2))
     bits = [1 << q for q in range(n1 * n2)]
-    return tuple((u1, u2, tuple(bits[q] for q in _lift(u1, u2, n2)))
-                 for u1 in W1 for u2 in W2 if u1 != id1 or u2 != id2)
+    lifts = ((u1, u2, _lift(u1, u2, n2)) for u1 in W1 for u2 in W2
+             if u1 != id1 or u2 != id2)
+    return tuple((u1, u2, perm, tuple(bits[q] for q in perm))
+                 for u1, u2, perm in lifts)
 
 
 def _lifts(prod, W1, W2):
@@ -267,43 +269,60 @@ def _lifts(prod, W1, W2):
     return _lift_table(tuple(W1), tuple(W2), prod.left.size, prod.right.size)
 
 
-def _failing_lift(prod, sys, W1, W2):
-    """(u₁, u₂, moved_out) for the first lift of W₁ × W₂ in order that
-    moves a closed set out of ``sys``, where moved_out(m) says whether it
-    moves m out; None when every lift keeps the closed sets.
+def _walk_lifts(prod, sys, W1, W2):
+    """(failing, moved) from one walk of the lift table: failing is
+    (u₁, u₂, image bits) for the first lift that moves a closed set out of
+    ``sys``, where the walk stops, or None; moved is (u₁, u₂, p) for the
+    first lift and atom p whose row it does not carry onto the row of p's
+    image, or None.
 
     ``sys`` must be prod's relation system (check_axioms enforces it, and
     _first_failing_axiom builds it): its members are Σ and the meets of the
     polar rows, and a lift keeps Σ and meets, so it keeps the family iff it
-    maps every row p^⊥ into ``sys.sets``.  Each lift is decided on the n
-    rows.  The lifts come from the cached lift table, of at most
-    GROUP_SIZE_LIMIT lifts.
+    maps every row p^⊥ into ``sys.sets``.  A row image that equals the row
+    of the image atom is closed, so only the others are looked up.
     """
-    sets = sys.sets
-    for u1, u2, images in _lifts(prod, W1, W2):
-        def moved_out(m):  # apply_perm_mask inlined: one call per set
+    rows, sets = prod.rows, sys.sets
+    moved = None
+    for u1, u2, perm, images in _lifts(prod, W1, W2):
+        for p, m in enumerate(rows):
             image = 0
             while m:
                 low = m & -m
                 image |= images[low.bit_length() - 1]
                 m ^= low
-            return image not in sets
+            if image != rows[perm[p]]:
+                if image not in sets:
+                    return (u1, u2, images), moved
+                if moved is None:
+                    moved = (u1, u2, p)
+    return None, moved
 
-        if any(map(moved_out, prod.rows)):
-            return u1, u2, moved_out
-    return None
 
+def _check_p4(prod, sys, W1, W2):
+    """(P4, P4*) from one walk of the lifts (see _walk_lifts).  A lift that
+    moves a closed set out fails both, with the canonical-first such set,
+    which ``first`` finds on that lift alone.  Where P4 holds, P4* fails at
+    the first lift and atom that do not commute with the polarity."""
+    failing, moved = _walk_lifts(prod, sys, W1, W2)
+    if failing is None:
+        p4 = Verdict(True, None)
+        return p4, (p4 if moved is None else Verdict(False, {
+            "u1": list(moved[0]), "u2": list(moved[1]), "atom": moved[2]}))
+    u1, u2, images = failing
+    sets = sys.sets
 
-def _check_p4(prod, sys, W1, W2) -> Verdict:
-    """Does every lift of W₁ × W₂ keep the closed sets?  The first lift in
-    order that moves a set out fails (see _failing_lift), with the
-    canonical-first such set, which ``first`` finds on that lift alone."""
-    lift = _failing_lift(prod, sys, W1, W2)
-    if lift is None:
-        return Verdict(True, None)
-    u1, u2, moved_out = lift
-    return Verdict(False, {"u1": list(u1), "u2": list(u2),
-                           "set": ids(sys.first(moved_out))})
+    def moved_out(m):  # apply_perm_mask inlined: one call per set
+        image = 0
+        while m:
+            low = m & -m
+            image |= images[low.bit_length() - 1]
+            m ^= low
+        return image not in sets
+
+    p4 = Verdict(False, {"u1": list(u1), "u2": list(u2),
+                         "set": ids(sys.first(moved_out))})
+    return p4, p4
 
 
 def _check_p5(prod) -> Verdict:
@@ -312,19 +331,6 @@ def _check_p5(prod) -> Verdict:
         if missing:
             q = (missing & -missing).bit_length() - 1
             return Verdict(False, {"p": p, "q": q})
-    return Verdict(True, None)
-
-
-def _check_lifts_commute(prod, W1, W2) -> Verdict:
-    """Does every lifted pair (u₁, u₂) commute with the polarity on atoms?
-    P4* is P4 plus this; it runs only where P4 holds, so it rebuilds each
-    lifted permutation from u₁ and u₂."""
-    n2 = prod.right.size
-    for u1, u2, _ in _lifts(prod, W1, W2):
-        p = _moved_row(prod.rows, _lift(u1, u2, n2))
-        if p is not None:
-            return Verdict(False, {"u1": list(u1), "u2": list(u2),
-                                   "atom": p})
     return Verdict(True, None)
 
 
@@ -370,14 +376,15 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
     prod's own.
 
     P3 looks up the closed sets among the open cylinders (see _check_p3).
-    P4 is decided per lift on the n polar rows, and ``first`` scans the
-    closed sets only on the failing lift, for its witness (see _check_p4).
+    P4 and P4* are decided in one walk of the lifts on the n polar rows,
+    and ``first`` scans the closed sets only on the failing lift, for its
+    witness (see _check_p4).
     The tables that depend on the factors alone are cached by value: the #
     rows by the two factor spaces; the P2 cylinder unions, and the P3 open
     cylinders with their side and base, by the factor spaces and the factor
     ``sets`` (the open cylinders only where 2^n₁ + 2^n₂ ≤ |L|, as they list
-    every subset of each factor); and the lift table shared by P4 and P4*
-    by the W tuples and the factor sizes.  Deciding P4 on generators of
+    every subset of each factor); and the lift table by the W tuples and
+    the factor sizes.  Deciding P4 on generators of
     W₁ × W₂ would save only where P4 holds; on the perturbation sweep
     every relation fails it, so the ordered scan runs anyway.
     """
@@ -397,11 +404,9 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
     p3 = _check_p3(prod, sys, L1sys, L2sys)
     p5 = _check_p5(prod)
     if W1 and W2:
-        p4 = _check_p4(prod, sys, W1, W2)
-        p4star = p4 if not p4.holds else _check_lifts_commute(prod, W1, W2)
+        p4, p4star = _check_p4(prod, sys, W1, W2)
     else:
-        p4 = Verdict(None, None)
-        p4star = Verdict(None, None)
+        p4 = p4star = Verdict(None, None)
     return AxiomReport(
         p1=Verdict(True, None),
         p2=p2_cyl, p3=p3, p4=p4, p5=p5, p4star=p4star,
@@ -549,7 +554,7 @@ def _first_failing_axiom(prod, L1sys, L2sys, W1, W2):
     sys = enumerate_closed(prod)
     if not _check_p3(prod, sys, L1sys, L2sys).holds:
         return "P3"
-    if _failing_lift(prod, sys, W1, W2) is not None:
+    if _walk_lifts(prod, sys, W1, W2)[0] is not None:
         return "P4"
     return None
 

@@ -133,7 +133,10 @@ def test_check_rejects_an_out_of_range_pair(tmp_path):
        str(n)], f"search_b300_s{seed}_f{n}.json")
      for seed in (0, 1) for n in (1, 2)] + [
     (["search", "--budget", "300", "--seed", "0", "--factor-n", "3"],
-     "search_b300_s0_f3.json")])
+     "search_b300_s0_f3.json"),
+    # ⊥5: P4 holds and P4* fails at an atom
+    (["check", "--relation", "perp5_mo2_mo2.relation.json"],
+     "check_perp5_mo2_mo2.json")])
 def test_outputs_equal_the_golden_files(tmp_path, args, golden):
     if args[0] == "product":
         mo2 = str(GOLDEN / "mo2.ospace.json")
@@ -498,6 +501,21 @@ def test_closed_shadows_fail_only_when_p3_fails(monkeypatch):
     assert rep["pass"] is True
 
 
+def test_closed_shadows_fail_when_p3_fails_on_perp2(monkeypatch):
+    # each fixture is checked against its own report: ⊥2's shadows are
+    # closed, so a report of ⊥2 in which P3 fails fails the check
+    real = sp_module.check_axioms
+
+    def p3_fails_on_perp2(prod, *args):
+        rep = real(prod, *args)
+        if prod.relation_name == "perp2":
+            rep = dataclasses.replace(rep, p3=Verdict(False, None))
+        return rep
+
+    monkeypatch.setattr(sp_module, "check_axioms", p3_fails_on_perp2)
+    assert failed_checks("lemmas") == {"closed-shadows-imply-p3": None}
+
+
 def test_distinct_pair_joins_fail_when_a_pair_is_not_closed(monkeypatch):
     # (0,0) and (1,1) are the first product-distinct pair of MO2 × MO2
     rows = sharp(make_mo(2), make_mo(2)).rows
@@ -506,6 +524,22 @@ def test_distinct_pair_joins_fail_when_a_pair_is_not_closed(monkeypatch):
     monkeypatch.setattr(_kernel, "biclosure", lambda r, m, full: full if (
         r == rows and m == pair) else real(r, m, full))
     assert failed_checks("lemmas") == {"distinct-pair-joins-mo2": (0, 5)}
+
+
+def test_distinct_pair_joins_report_the_first_failing_pair(monkeypatch):
+    # {0, 5} and {0, 6} both fail; (0, 5) comes first, and every pair is
+    # still counted
+    rows = sharp(make_mo(2), make_mo(2)).rows
+    pairs = {1 << 0 | 1 << 5, 1 << 0 | 1 << 6}
+    real = _kernel.biclosure
+    monkeypatch.setattr(_kernel, "biclosure", lambda r, m, full: full if (
+        r == rows and m in pairs) else real(r, m, full))
+    rep = run_verify_suite("lemmas", {**VERIFY_DEFAULTS, "trials": 25})
+    check = next(c for c in rep["checks"]
+                 if c["id"] == "distinct-pair-joins-mo2")
+    assert check["pass"] is False and check["witness"] == (0, 5)
+    assert check["description"] == ("all 72 product-distinct atom pairs "
+                                     "join to the bare pair")
 
 
 def test_failing_map_check_fails_when_the_lift_does_not_raise(monkeypatch):

@@ -129,6 +129,30 @@ def test_check_axioms_decides_p4_once(monkeypatch, mo2, mo2_sys,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("relation", ["sharp", "perp5"])
+def test_check_axioms_reads_the_lift_table_once(monkeypatch, relation, mo2,
+                                                mo2_sys, mo2_product):
+    # P4 holds on both, so P4* needs every lift too: on # it holds, on the
+    # twisted ⊥5 it fails at an atom; one walk of the table decides both
+    calls = []
+    real = sepprod._lifts
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sepprod, "_lifts", counting)
+    prod, _ = mo2_product
+    if relation == "perp5":
+        f = con.mo_pair_swap_bijection(2)
+        prod = con.build_perp5(prod, f, f)
+    W = list(automorphisms(mo2, mo2_sys, mode="ortho"))
+    rep = check_axioms(prod, mo2_sys, mo2_sys, W, W)
+    assert rep.p4.holds
+    assert rep.p4star.holds is (relation == "sharp")
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("check", ["P4", "P4*"])
 def test_lift_table_is_refused_above_the_group_size_limit(
         monkeypatch, check, mo2, mo2_sys, mo2_product):
@@ -136,10 +160,10 @@ def test_lift_table_is_refused_above_the_group_size_limit(
     W = list(automorphisms(mo2, mo2_sys, mode="ortho"))  # 8², 64 lifts
     if check == "P4":
         def run():
-            return sepprod._check_p4(prod, psys, W, W)
+            return sepprod._check_p4(prod, psys, W, W)[0]
     else:
         def run():
-            return sepprod._check_lifts_commute(prod, W, W)
+            return check_axioms(prod, mo2_sys, mo2_sys, W, W, psys).p4star
     assert run().holds  # the table is built and cached
     monkeypatch.setattr(lattice, "GROUP_SIZE_LIMIT", 63)
     with pytest.raises(EnumerationLimitError,
@@ -263,7 +287,7 @@ def _pentagon_x_mo1():
 def test_first_failing_axiom_decides_p4_without_a_witness(monkeypatch):
     prod, L1, L2, W1, W2 = _pentagon_x_mo1()
     psys = enumerate_closed(prod)
-    p4 = _same(sepprod._check_p4(prod, psys, W1, W2),
+    p4 = _same(sepprod._check_p4(prod, psys, W1, W2)[0],
                old_check_p4(prod, psys, W1, W2))
     assert p4.witness == {"u1": [1, 0, 2, 3, 4], "u2": [0, 1],
                           "set": [0, 4]}
@@ -473,10 +497,11 @@ def test_p3_p4_p4star_match_oracles(case):
     psys = enumerate_closed(prod)
     _same(sepprod._check_p3(prod, psys, L1, L2),
           old_check_p3(prod, psys, L1, L2))
-    _same(sepprod._check_p4(prod, psys, W1, W2),
-          old_check_p4(prod, psys, W1, W2))
-    _same(sepprod._check_lifts_commute(prod, W1, W2),
-          old_check_lifts_commute(prod, W1, W2))
+    p4 = _same(sepprod._check_p4(prod, psys, W1, W2)[0],
+               old_check_p4(prod, psys, W1, W2))
+    if W1 and W2 and p4.holds:
+        _same(check_axioms(prod, L1, L2, W1, W2, psys).p4star,
+              old_check_lifts_commute(prod, W1, W2))
 
 
 @pytest.mark.parametrize("n1,n2,side", [(3, 2, 1), (2, 3, 2)])
@@ -553,16 +578,22 @@ def test_lifts_without_a_leading_identity_match_oracles():
         ([id1], [id2]),                  # the identity lift alone
         (W1[::-1], W2[::-1]),
     ]
+    L1, L2 = enumerate_closed(left), enumerate_closed(right)
     for U1, U2 in cases:
-        _same(sepprod._check_p4(prod, psys, U1, U2),
-              old_check_p4(prod, psys, U1, U2))
-        _same(sepprod._check_lifts_commute(prod, U1, U2),
-              old_check_lifts_commute(prod, U1, U2))
-    p4 = sepprod._check_p4(prod, psys, [id1], [h])
+        p4 = _same(sepprod._check_p4(prod, psys, U1, U2)[0],
+                   old_check_p4(prod, psys, U1, U2))
+        if p4.holds:
+            _same(check_axioms(prod, L1, L2, U1, U2, psys).p4star,
+                  old_check_lifts_commute(prod, U1, U2))
+    p4 = sepprod._check_p4(prod, psys, [id1], [h])[0]
     assert p4.witness == {"u1": list(id1), "u2": list(h), "set": [0, 3]}
-    commute = sepprod._check_lifts_commute(prod, [id1], [bad])
+    # (id, bad) keeps the closed sets of # but not its polarity
+    rep = check_axioms(sharp(left, right), L1, L2, [id1], [bad])
+    assert rep.p4.holds
+    commute = _same(rep.p4star, old_check_lifts_commute(
+        sharp(left, right), [id1], [bad]))
     assert commute.witness == {"u1": list(id1), "u2": list(bad), "atom": 0}
-    assert sepprod._check_p4(prod, psys, [id1], [id2]).holds
+    assert sepprod._check_p4(prod, psys, [id1], [id2])[0].holds
 
 
 # ------------------------------------------------ the factor-pair caches
@@ -600,9 +631,8 @@ def _check_against_oracles(left, right, rows, L1, L2, W1, W2):
     _same(rep.p5, p5)
     _same(rep.p3, old_check_p3(prod, psys, L1, L2))
     p4 = _same(rep.p4, old_check_p4(prod, psys, W1, W2))
-    commute = _same(sepprod._check_lifts_commute(prod, W1, W2),
-                    old_check_lifts_commute(prod, W1, W2))
-    _same(rep.p4star, commute if p4.holds else p4)
+    _same(rep.p4star,
+          old_check_lifts_commute(prod, W1, W2) if p4.holds else p4)
     return rep
 
 
@@ -704,7 +734,7 @@ def old_first_failing_axiom(prod, L1sys, L2sys, W1, W2):
         return "P2"
     if not sepprod._check_p3(prod, sys, L1sys, L2sys).holds:
         return "P3"
-    if sepprod._failing_lift(prod, sys, W1, W2) is not None:
+    if sepprod._walk_lifts(prod, sys, W1, W2)[0] is not None:
         return "P4"
     return None
 
