@@ -53,7 +53,7 @@ class AtomSubset:
     def from_indices(cls, space, indices) -> "AtomSubset":
         bits = 0
         for i in indices:
-            if not 0 <= i < space.size:
+            if type(i) is not int or not 0 <= i < space.size:
                 raise ValueError(f"atom index out of range: {i}")
             bits |= 1 << i
         return cls(space, bits)

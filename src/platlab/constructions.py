@@ -45,7 +45,7 @@ class CRelation:
         rows = [0] * space.size
         for p, neighbors in enumerate(lists):
             for q in neighbors:
-                if not 0 <= q < space.size:
+                if type(q) is not int or not 0 <= q < space.size:
                     raise ValueError(f"C adjacency index out of range: {q}")
                 rows[p] |= 1 << q
         return cls(space, tuple(rows))
@@ -317,7 +317,7 @@ def _row_mask(F, lam, row):
     M = [[r₀, λr₁], [λr₂, λ²r₃]]: per point u, (α, β) = uᵀM is orthogonal
     to all of u's block if it is 0, else to [0:1] if β = 0, else to
     [1 : −α/β] alone."""
-    add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
+    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
     r0, r1, r2 = row[0], mul[lam][row[1]], mul[lam][row[2]]
     r3 = mul[mul[lam][lam]][row[3]]
     n = F.q + 1

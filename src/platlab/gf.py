@@ -60,56 +60,33 @@ def _mul_table(vecs, add, tail, p):
 
 
 class GF:
-    """Finite field with q elements; add/mul/inverse via precomputed tables."""
+    """Finite field with q elements.  Its tables are its interface:
+    ``add[a][b]``, ``mul[a][b]``, ``neg[a]`` and ``inv[a]``, with
+    ``inv[0]`` None, so that 0's inverse fails where it is used."""
 
     def __init__(self, q):
         self.q = q
         self.p, self.k = _factor_prime_power(q)
         p, k = self.p, self.k
         vecs = [[a // p ** i % p for i in range(k)] for a in range(q)]
-        self._add = [[_encode([(x + y) % p for x, y in zip(u, v)], p)
-                      for v in vecs] for u in vecs]
+        self.add = [[_encode([(x + y) % p for x, y in zip(u, v)], p)
+                     for v in vecs] for u in vecs]
         # the first monic x^k + tail with no zero divisors: the quotient
         # ring is then a field, so the modulus is irreducible
         tail = 0
-        while (mul := _mul_table(vecs, self._add, vecs[tail], p)) is None:
+        while (mul := _mul_table(vecs, self.add, vecs[tail], p)) is None:
             tail += 1
-        self._mul = mul
-        self._neg = [0] * q
-        self._inv = [0] * q
-        for a in range(q):
-            for b in range(q):
-                if self._add[a][b] == 0:
-                    self._neg[a] = b
-                if a and self._mul[a][b] == 1:
-                    self._inv[a] = b
-        self.nonzero = list(range(1, q))
-        self.squares = sorted({self._mul[a][a] for a in self.nonzero})
-
-    # -- field API --
-
-    def add(self, a, b):
-        return self._add[a][b]
-
-    def sub(self, a, b):
-        return self._add[a][self._neg[b]]
-
-    def neg(self, a):
-        return self._neg[a]
-
-    def mul(self, a, b):
-        return self._mul[a][b]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self._inv[a]
+        self.mul = mul
+        # each row of a field table holds 0 once, and each row of mul but
+        # row 0 holds 1 once
+        self.neg = [row.index(0) for row in self.add]
+        self.inv = [None] + [row.index(1) for row in mul[1:]]
 
     def dot(self, u, v, weights):
         """Weighted bilinear form sum_i w_i * u_i * v_i."""
         acc = 0
         for x, y, w in zip(u, v, weights):
-            acc = self.add(acc, self.mul(w, self.mul(x, y)))
+            acc = self.add[acc][self.mul[w][self.mul[x][y]]]
         return acc
 
 

@@ -10,7 +10,7 @@ P1-P5 and P4* against the factor systems and permutation sets W₁, W₂.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 from . import _kernel, lattice
@@ -472,7 +472,7 @@ def daniel_lift(f, L1sys: ClosureSystem, L2sys: ClosureSystem) -> LatticeMap:
     if len(f) != n:
         raise ValueError(f"atom map must be total on {n} atoms")
     for v in f:
-        if not 0 <= v < L2sys.carrier.size:
+        if type(v) is not int or not 0 <= v < L2sys.carrier.size:
             raise ValueError(f"atom map value out of range: {v}")
     for bm in L2sys.masks:
         pre = 0
@@ -526,10 +526,7 @@ class PerturbationSummary:
     seed: int
 
     def to_json(self) -> dict:
-        return {"trials": self.trials,
-                "failures_by_axiom": self.failures_by_axiom,
-                "theorem_contradictions": self.theorem_contradictions,
-                "seed": self.seed}
+        return asdict(self)
 
 
 def _first_failing_axiom(prod, L1sys, L2sys, W1, W2):

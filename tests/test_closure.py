@@ -57,6 +57,10 @@ def test_atom_subset_algebra():
     assert repr(a) == "{a1,a2}"
     with pytest.raises(ValueError):
         AtomSubset.from_indices(s, [9])
+    # True would pass `0 <= i < n` as atom 1, and 1.0 fail in the bit shift
+    for index in (True, 1.0):
+        with pytest.raises(ValueError, match="atom index out of range"):
+            AtomSubset.from_indices(s, [index])
 
 
 def test_carrier_mismatch_raises():

@@ -45,6 +45,10 @@ def test_c_relation_validation(mo2):
                        match="C data row of atom 0 has bit 4, beyond its 4 "
                              "atoms"):
         CRelation(mo2, (0b10000, 0, 0, 0))
+    # True would pass `0 <= q < n` as atom 1, and 2.0 fail in the bit shift
+    for index in (True, 2.0):
+        with pytest.raises(ValueError, match="C adjacency index out of range"):
+            CRelation.from_adjacency(mo2, [[index], [], [], []])
 
 
 def test_perp2_formula(setup):
@@ -306,7 +310,7 @@ def _reduce_against(F, rows, vec):
         if v[pivot]:
             c = v[pivot]
             for i in range(len(v)):
-                v[i] = F.sub(v[i], F.mul(c, row[i]))
+                v[i] = F.add[v[i]][F.neg[F.mul[c][row[i]]]]
     return v
 
 
@@ -315,8 +319,8 @@ def span_membership_traces(q):
     V by Gaussian reduction against V's RREF rows."""
     F = field(q)
     points = projective_line_points(q)
-    vectors = [(F.mul(u[0], v[0]), F.mul(u[0], v[1]),
-                F.mul(u[1], v[0]), F.mul(u[1], v[1]))
+    vectors = [(F.mul[u[0]][v[0]], F.mul[u[0]][v[1]],
+                F.mul[u[1]][v[0]], F.mul[u[1]][v[1]])
                for u in points for v in points]
     traces = set()
     for mats in enumerate_subspaces(q, 4).values():
@@ -386,8 +390,8 @@ def test_tensor_trace_sizes(q, lam, census, monkeypatch):
 def dot_mask(F, weights, row):
     """Oracle: the trace mask of one row, one ``F.dot`` per product state."""
     points = projective_line_points(F.q)
-    states = [(F.mul(u[0], v[0]), F.mul(u[0], v[1]),
-               F.mul(u[1], v[0]), F.mul(u[1], v[1]))
+    states = [(F.mul[u[0]][v[0]], F.mul[u[0]][v[1]],
+               F.mul[u[1]][v[0]], F.mul[u[1]][v[1]])
               for u in points for v in points]
     return sum(1 << p for p, x in enumerate(states)
                if F.dot(row, x, weights) == 0)
@@ -405,14 +409,14 @@ def _anisotropic(q, lam):
 def test_table_masks_match_dot_masks(q):
     # GF(9) is not prime: its negation and inverse tables are not mod 9
     F = field(q)
-    lams = [lam for lam in F.nonzero if _anisotropic(q, lam)]
+    lams = [lam for lam in range(1, q) if _anisotropic(q, lam)]
     assert len(lams) == (q - 1) // 2
     # every projective point of GF(q)^4, first nonzero coordinate 1
     points = [v for v in product(range(q), repeat=4)
               if next((x for x in v if x), 0) == 1]
     assert len(points) == (q ** 4 - 1) // (q - 1)
     for lam in lams:
-        weights = (1, lam, lam, F.mul(lam, lam))
+        weights = (1, lam, lam, F.mul[lam][lam])
         for row in points:
             assert _row_mask(F, lam, row) == dot_mask(F, weights, row), \
                 (lam, row)

@@ -1,10 +1,15 @@
-"""Every name a platlab module imports is read through that import.
+"""Every name a platlab module imports is read through that import, and no
+module reads another object's private state.
 
 A read counts only where it resolves to the import's binding, so a local of
 the same name shadows it.  A name listed in the module's ``__all__`` counts
 as read (it is re-exported), and so does one imported on a line marked
 ``# noqa: F401``.  Only the standard library is used (``symtable`` resolves
 each read to its scope), so the guard runs wherever the tests do.
+
+A private attribute (a leading underscore, not a dunder) is read only
+through ``self``, ``cls`` or a name an import binds, such as a module's
+``sp._check_p3``; storing one on another object is not a read.
 """
 
 import ast
@@ -141,3 +146,44 @@ def test_the_guard_resolves_nested_scopes():
     # visible there), d in an annotation, e through g's closure; c is
     # shadowed by f's local
     assert unused_imports(source) == [(1, "c")]
+
+
+def private_reads(source: str):
+    """(line, expression) for each read of a private attribute through a
+    name other than ``self``, ``cls`` or one an import binds."""
+    tree = ast.parse(source)
+    owners = {"self", "cls"}
+    owners.update(alias.asname or alias.name.split(".")[0]
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for alias in node.names)
+    return sorted(
+        (node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name)
+                 and node.value.id in owners))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_module_reads_no_private_state_of_another_object(path):
+    assert private_reads(path.read_text()) == []
+
+
+def test_the_guard_finds_a_private_read():
+    source = ("import os as _os\n"
+              "from . import gf\n"
+              "class K:\n"
+              "    @classmethod\n"
+              "    def m(cls, F, sys):\n"
+              "        sys._of_relation = cls._cache\n"
+              "        return (F._add, F.__class__, gf._encode, _os.sep,\n"
+              "                F.mul._items, f(F)._neg)\n"
+              "    def n(self, other):\n"
+              "        return self._inv, other._inv, other.__inv\n")
+    # a store, a dunder, a module's private name and cls/self reads pass
+    assert private_reads(source) == [
+        (7, "F._add"), (8, "F.mul._items"), (8, "f(F)._neg"),
+        (10, "other.__inv"), (10, "other._inv")]

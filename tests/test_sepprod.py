@@ -375,6 +375,10 @@ def test_daniel_lift_input_validation(mo2_sys, pow3_sys):
         daniel_lift([0], mo2_sys, pow3_sys)
     with pytest.raises(ValueError, match="out of range"):
         daniel_lift([0, 1, 2, 9], mo2_sys, pow3_sys)
+    # True would pass `0 <= v < n` as atom 1, and 1.0 fail in the bit shift
+    for value in (True, 1.0):
+        with pytest.raises(ValueError, match="atom map value out of range"):
+            daniel_lift([0, 1, 2, value], mo2_sys, pow3_sys)
 
 
 # ------------------------------------------- P3, P4 and P4* against oracles
