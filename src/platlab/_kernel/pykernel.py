@@ -37,12 +37,83 @@ def intersection_closure(seeds, full, max_sets=0):
     a seed that is an intersection of earlier ones is already in F and costs
     one lookup.  Raises ValueError when more than ``max_sets`` sets appear
     (0 = unlimited); the count is checked after each seed.
+
+    At most n = ``full.bit_length()`` distinct seeds, such as a relation's
+    polar rows, run the loop below and nothing else.  More go through
+    ``_close_wide``, which may hand the family over to its atoms' columns.
     """
+    order = sorted(set(seeds), reverse=True)
+    if len(order) > full.bit_length():
+        return _close_wide(order, full, max_sets)
     out = {full}
-    for s in sorted(set(seeds), reverse=True):
+    for s in order:
         if s in out:
             continue
         out |= {x & s for x in out}
         if max_sets and len(out) > max_sets:
             raise ValueError(f"closure enumeration exceeded {max_sets} sets")
     return out
+
+
+def _close_wide(order, full, max_sets):
+    """``intersection_closure`` of the distinct seeds ``order``, largest
+    first, when they outnumber the n atoms.
+
+    The seeds are added one at a time as there, counting those added.  Once
+    n have been added, a further seed outside F hands the family over: the
+    n atom columns, over the seeds added and the seeds still outside F, are
+    closed instead (``_close_columns``).  The switch counts seeds added,
+    not seeds given: a closed family adds only its meet-irreducibles, which
+    on a relation's closed sets are among its n polar rows, so
+    ``brute_force_closed`` and a relation's closed family rebuilt as an
+    explicit system never hand over, where the columns would be as wide as
+    the family.
+    """
+    n = full.bit_length()
+    out = {full}
+    added = []
+    rest = iter(order)
+    for s in rest:
+        if s in out:
+            continue
+        if len(added) == n:
+            gens = added + [s] + [t for t in rest if t not in out]
+            return _close_columns(gens, full, max_sets)
+        added.append(s)
+        out |= {x & s for x in out}
+        if max_sets and len(out) > max_sets:
+            raise ValueError(f"closure enumeration exceeded {max_sets} sets")
+    return out
+
+
+def _close_columns(gens, full, max_sets):
+    """The intersection closure of ``gens`` plus ``full``, closed on the
+    side of the atoms of ``full``.
+
+    In the context whose objects are the atoms and whose attributes are
+    the generators, the column i′ of atom i is the bitset of the
+    generators that hold i, and for a generator set d, ext d =
+    polar(gens, d, full) is the intersection of the generators in d
+    (``full`` for d = ∅).  Closing the columns, plus the set of all
+    generators, gives the sets A′ = ∩{i′ : i ∈ A} over the atom sets A:
+    the closed generator sets, those with d = (ext d)′.  Polar maps them
+    bijectively onto the atom-side family {ext d : d any generator set}:
+    onto, since ext d = ext d″ and d″ is closed, and one-to-one, since a
+    closed d is (ext d)′.  So the two families give the same sets and
+    have the same size; both closures grow monotonically to that size, so
+    ``max_sets`` raises on one side exactly when it raises on the other.
+    The inner closure runs the plain loop: its at most n seeds are fewer
+    than its len(gens) > n atoms.
+    """
+    cols = [0] * full.bit_length()
+    for j, g in enumerate(gens):
+        bit = 1 << j
+        m = g & full
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+    # only the atoms of full are objects of the context
+    cols = [c for i, c in enumerate(cols) if full >> i & 1]
+    closed = intersection_closure(cols, (1 << len(gens)) - 1, max_sets)
+    return {polar(gens, d, full) for d in closed}

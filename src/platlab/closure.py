@@ -3,7 +3,10 @@
 Subsets are bit-vectors tied to a carrier (an OrthoSpace or ProductSpace,
 anything exposing ``size``, ``full``, ``rows`` and ``labels``).  The closure
 system of a relation is the family of biclosure fixpoints, enumerated as the
-intersection-closure of the per-atom polar rows plus the full set.
+intersection-closure of the per-atom polar rows plus the full set.  The
+kernel closes a family on the side of its sets, one seed at a time; once
+as many seeds as atoms have added sets and another would, it closes the
+atoms' columns instead.  A relation's rows never get that far.
 """
 
 from __future__ import annotations
@@ -150,7 +153,12 @@ class ClosureSystem:
     """A fully enumerated intersection-closed family over one carrier.
 
     The constructor closes its generators, masks within the carrier, under
-    intersection, Σ added; ∅ must be in the closure.  More than
+    intersection, Σ added; ∅ must be in the closure.  The kernel closes
+    them on the side of the sets until n generators have each added sets;
+    a further such generator hands the family over to the n atoms'
+    columns, bitsets over the generators.  A relation's system (n rows) and
+    a family of its closed sets (whose irreducibles are among those rows)
+    never hand over.  More than
     ``DEFAULT_SET_LIMIT`` closed sets raise EnumerationLimitError.
     ``sets`` holds the closed sets, unordered; membership tests read it.
     ``masks``, the closed sets in canonical order (cardinality, then the

@@ -293,7 +293,10 @@ def tensor_trace_lattice(q: int, lam: int):
     traces = {reduce(and_, map(table.__getitem__, rows), full)
               for mats in by_dim.values() for rows in mats}
 
-    family_sys = ClosureSystem(prod, traces)
+    # every trace is an AND of row masks (or Σ), and every row mask is a
+    # trace, so the rows alone have the traces' closure: (q + 1)(q² + 1)
+    # seeds, each a hyperplane's trace
+    family_sys = ClosureSystem(prod, table.values())
 
     contains = sepsys.sets <= family_sys.sets
     witness = family_sys.first(lambda m: m not in sepsys.sets)

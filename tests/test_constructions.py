@@ -20,6 +20,7 @@ from platlab.orthospace import (_rows_from_pairs, make_quadratic_line_space,
                                 projective_line_points, validate_relation)
 from platlab.sepprod import ProductSpace
 from test_closure import canonical_key
+from test_kernel import old_intersection_closure
 
 C_MO2 = [[2], [3], [0], [1]]  # pair a1↔a2, a1'↔a2'
 
@@ -350,6 +351,9 @@ def test_tensor_traces_match_span_membership(q, lam):
     j = report.to_json()
     assert j["trace_count"] == len(traces)
     assert closed
+    # the family closes the hyperplane traces alone, the BFS all traces
+    assert family.sets == set(old_intersection_closure(traces,
+                                                       family.carrier.full))
     assert j["intersection_closed"] is True
     assert family.masks == canonical
     assert j["strictness_witness"] == [p for p in range(n2 * n2)

@@ -3,19 +3,30 @@ replaced.
 
 ``old_intersection_closure`` is the kernel's former BFS, kept verbatim as an
 oracle: it intersects every new set with every distinct seed.  The kernel
-must give the same sets on relation rows of up to 12 atoms, on
-arbitrary families (duplicates, ∅ and Σ, no seeds at all) and on the q = 3
-tensor-trace family, and must raise on ``max_sets`` exactly when the BFS
-does.
+closes a family seed by seed on the side of its sets until it has added as
+many seeds as there are atoms; a further new seed hands it over to the
+atoms' columns (``pykernel._close_columns``).  It must give the same sets as
+the BFS on relation rows of up to 12 atoms, which never hand over, on
+arbitrary families (duplicates, ∅ and Σ, no seeds at all), on families
+with more irreducible seeds than atoms, which do, and on the q = 3 and
+q = 5 tensor-trace families, and must raise on ``max_sets`` exactly when
+the BFS does.  Closed families of relations (enumerated, brute-forced or
+rebuilt as explicit systems) must never reach the column side.
 """
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platlab import _kernel, make_powerset_space
+from platlab import (_kernel, brute_force_closed, enumerate_closed, make_mo,
+                     make_powerset_space, separated_product)
 from platlab._kernel import pykernel
-from platlab.constructions import tensor_trace_lattice
+from platlab.closure import ClosureSystem
+from platlab.constructions import (_row_mask, enumerate_subspaces,
+                                   tensor_trace_lattice)
+from platlab.gf import field
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -74,6 +85,24 @@ def families(draw, max_atoms=12):
     return draw(st.permutations(seeds)), full
 
 
+@st.composite
+def wide_families(draw, max_atoms=10):
+    """More distinct k-subsets of n atoms than atoms (an antichain, so each
+    is an irreducible seed) when n ≥ 4, plus random extras and seeds with
+    bits above ``full``; n = 0 and n < 4 draw the extras alone."""
+    n = draw(st.integers(0, max_atoms))
+    full = (1 << n) - 1
+    seeds = []
+    if n >= 4:
+        k = draw(st.integers(2, n - 2))
+        ksets = draw(st.permutations(
+            [sum(1 << i for i in c) for c in combinations(range(n), k)]))
+        seeds += ksets[:draw(st.integers(n + 1, len(ksets)))]
+    seeds += draw(st.lists(st.integers(0, full), max_size=8))
+    seeds += draw(st.lists(st.integers(full + 1, 8 * full + 7), max_size=3))
+    return draw(st.permutations(seeds)), full
+
+
 @SETTINGS
 @given(relation_rows())
 def test_closure_of_relation_rows_matches_bfs(case):
@@ -83,7 +112,7 @@ def test_closure_of_relation_rows_matches_bfs(case):
 
 
 @SETTINGS
-@given(families())
+@given(st.one_of(families(), wide_families()))
 def test_closure_of_arbitrary_families_matches_bfs(case):
     seeds, full = case
     assert sorted(pykernel.intersection_closure(seeds, full)) == \
@@ -91,12 +120,56 @@ def test_closure_of_arbitrary_families_matches_bfs(case):
 
 
 @SETTINGS
-@given(st.one_of(relation_rows(), families()), st.integers(1, 80))
+@given(st.one_of(relation_rows(), families(), wide_families()),
+       st.integers(1, 300))
 def test_set_limit_raises_exactly_when_bfs_does(case, max_sets):
     seeds, full = case
     assert _closure_or_limit(pykernel.intersection_closure, seeds, full,
                              max_sets) == \
         _closure_or_limit(old_intersection_closure, seeds, full, max_sets)
+
+
+@pytest.mark.parametrize("full,extra,handed", [
+    (31, [], 10),
+    # a hole at atom 5, and a seed that holds all of full: the hole must
+    # not be a column, or ∅ would count as one closed set too many
+    (0b1011111, [0b1011111 | 1 << 8], 11),
+], ids=["five-atoms", "hole-in-full"])
+def test_more_irreducible_seeds_than_atoms_hand_over(monkeypatch, full, extra,
+                                                      handed):
+    # the ten 2-subsets of atoms 0-4 close to 17 sets; the seed after the
+    # n-th added hands over
+    calls = []
+
+    def counted(gens, full, max_sets):
+        calls.append(len(gens))
+        return close_columns(gens, full, max_sets)
+
+    close_columns = pykernel._close_columns
+    monkeypatch.setattr(pykernel, "_close_columns", counted)
+    seeds = [1 << i | 1 << j for i, j in combinations(range(5), 2)] + extra
+    for limit in (0, 16, 17):
+        assert _closure_or_limit(pykernel.intersection_closure, seeds, full,
+                                 limit) == \
+            _closure_or_limit(old_intersection_closure, seeds, full, limit)
+    assert len(pykernel.intersection_closure(seeds, full)) == 17
+    assert set(calls) == {handed}
+
+
+def test_closed_families_of_relations_never_hand_over(monkeypatch):
+    # a relation has at most n rows, and its closed family adds only its
+    # meet-irreducibles, which are among them
+    def refuse(gens, full, max_sets):
+        raise AssertionError(f"{len(gens)} seeds handed over")
+
+    monkeypatch.setattr(pykernel, "_close_columns", refuse)
+    mo3 = make_mo(3)
+    prod, _ = separated_product(mo3, mo3)
+    assert sorted(enumerate_closed(prod).sets) == \
+        old_intersection_closure(prod.rows, prod.full)
+    assert len(brute_force_closed(make_powerset_space(10))) == 1 << 10
+    space = make_powerset_space(12)
+    assert len(ClosureSystem(space, enumerate_closed(space).masks)) == 1 << 12
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +182,19 @@ def test_closure_of_q3_trace_family_matches_bfs(q3_traces):
     masks, full = q3_traces
     assert sorted(pykernel.intersection_closure(masks, full)) == \
         old_intersection_closure(masks, full) == sorted(masks)
+
+
+def test_closure_of_q5_hyperplane_traces_matches_bfs():
+    # the 156 hyperplane traces and all 656 traces close to the same family
+    family, _ = tensor_trace_lattice(5, 2)
+    full = family.carrier.full
+    hyperplanes = [_row_mask(field(5), 2, row)
+                   for (row,) in enumerate_subspaces(5, 4)[1]]
+    assert len(hyperplanes) == 156
+    assert sorted(pykernel.intersection_closure(hyperplanes, full)) == \
+        sorted(pykernel.intersection_closure(family.masks, full)) == \
+        old_intersection_closure(family.masks, full) == sorted(family.masks)
+    assert len(family) == 656
 
 
 @settings(max_examples=40, deadline=None)
