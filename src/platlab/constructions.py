@@ -11,9 +11,7 @@ decide, not assumed here.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import reduce
 from itertools import combinations, product
-from operator import and_
 
 # unused here, but the benchmark tracer swaps this binding for a traced
 # kernel, so removing it breaks `perfbench/run.py --trace 1`
@@ -247,15 +245,25 @@ def _rref_matrices(F, n, k):
 
 @dataclass
 class L0Report:
-    """``triples`` counts traces of 3 pairwise product-distinct atoms, and
-    is 0 by proof, not by a scan.  The product states are the (q + 1)²
-    points of the quadric Q = {u ⊗ v} in PG(3, q), and a trace is V ∩ Q for
-    a subspace V.  A point meets Q in 0 or 1 points, a line in 0, 1, 2 or
-    q + 1, a plane in a conic (q + 1) or two lines (2q + 1), and the whole
-    space in all (q + 1)².  Every q that tensor_trace_lattice accepts is
-    odd (even q is refused, and q = 1 is not a prime power), so q ≥ 3,
-    q + 1 ≥ 4, and no trace has 3 atoms.  The field stays so that the
-    reports keep their bytes."""
+    """``trace_count`` and ``intersection_closed`` are read off the closure
+    of the hyperplane traces, by proof, not by listing the traces.  The
+    product states are the (q + 1)² points of the quadric Q = {u ⊗ v} in
+    PG(3, q), and the trace of a subspace V is V ∩ Q.  Traces meet as
+    their subspaces do: (V₁ ∩ Q) ∩ (V₂ ∩ Q) = (V₁ ∩ V₂) ∩ Q.  Every
+    subspace is a meet of hyperplanes (the whole space of none), so every
+    trace is a meet of hyperplane traces, Σ for none; and every such meet
+    is the trace of the meet of its hyperplanes.  So the closure of the
+    hyperplane traces plus Σ is the trace family itself: its size is the
+    number of distinct traces, and the traces are intersection-closed.
+
+    ``triples`` counts traces of 3 pairwise product-distinct atoms, and
+    is 0 by proof, not by a scan.  A point meets Q in 0 or 1 points, a
+    line in 0, 1, 2 or q + 1, a plane in a conic (q + 1) or two lines
+    (2q + 1), and the whole space in all (q + 1)².  Every q that
+    tensor_trace_lattice accepts is odd (even q is refused, and q = 1 is
+    not a prime power), so q ≥ 3, q + 1 ≥ 4, and no trace has 3 atoms.
+    The two fields that are fixed by proof stay so that the reports keep
+    their bytes."""
     trace_count: int
     intersection_closed: bool
     contains_sepprod: bool
@@ -266,6 +274,19 @@ class L0Report:
 
     def to_json(self) -> dict:
         return asdict(self)
+
+
+def trace_census(q: int) -> dict:
+    """The number of traces of each size, from the geometry of the quadric
+    Q of product states, n = (q + 1)² points on 2(q + 1) lines of q + 1
+    points: ∅; the n points; the C(n, 2) − q·n pairs on no common line of
+    Q (a line with 3 points of Q lies in Q, and those lines hold
+    2(q + 1)·C(q + 1, 2) = q·n pairs); the q³ − q conics, one per plane
+    not tangent to Q, and the 2(q + 1) lines of Q; the n tangent planes,
+    two lines of Q through a point; and Q itself."""
+    n = (q + 1) ** 2
+    return {0: 1, 1: n, 2: n * (n - 1) // 2 - q * n,
+            q + 1: q ** 3 - q + 2 * (q + 1), 2 * q + 1: n, n: 1}
 
 
 def tensor_trace_lattice(q: int, lam: int):
@@ -282,29 +303,19 @@ def tensor_trace_lattice(q: int, lam: int):
     F = field(q)
     prod, sepsys = separated_product(factor, factor)
 
-    # W ↦ W^⊥ is a bijection on subspaces and V = (V^⊥)^⊥, so the trace of
-    # W^⊥ (the product states orthogonal to every row of W) ranges over
-    # all traces as W does: rows == () gives Σ, the full basis gives ∅.
-    # Each RREF row is the RREF row of a point, so the points' masks are
-    # every row mask
+    # Each RREF row is the RREF row of a point, and a point's mask is the
+    # trace of its orthogonal hyperplane: the traces are the closure of
+    # these (q + 1)(q² + 1) seeds (see L0Report)
     by_dim = enumerate_subspaces(q, 4)
     table = {row: _row_mask(F, lam, row) for (row,) in by_dim[1]}
-    full = prod.full
-    traces = {reduce(and_, map(table.__getitem__, rows), full)
-              for mats in by_dim.values() for rows in mats}
-
-    # every trace is an AND of row masks (or Σ), and every row mask is a
-    # trace, so the rows alone have the traces' closure: (q + 1)(q² + 1)
-    # seeds, each a hyperplane's trace
     family_sys = ClosureSystem(prod, table.values())
 
     contains = sepsys.sets <= family_sys.sets
     witness = family_sys.first(lambda m: m not in sepsys.sets)
     oc = find_orthocomplementation(family_sys)
     report = L0Report(
-        trace_count=len(traces),
-        # the closure holds every trace, Σ among them
-        intersection_closed=len(family_sys) == len(traces),
+        trace_count=len(family_sys),
+        intersection_closed=True,  # see L0Report
         contains_sepprod=contains,
         strict=witness is not None,
         strictness_witness=ids(witness) if witness is not None else [],

@@ -14,6 +14,7 @@ from collections import namedtuple
 
 from . import _kernel
 from .bits import ids
+from .closure import EnumerationLimitError, atom_limit
 from .gf import field
 
 Verdict = namedtuple("Verdict", ["holds", "witness"])
@@ -101,11 +102,18 @@ def make_quadratic_line_space(q: int, lam: int) -> OrthoSpace:
 
     Requires q odd and the form x² + λy² anisotropic (no nonzero isotropic
     vector); the resulting space pairs each point with exactly one partner
-    and is isomorphic to MO_{(q+1)/2}.
+    and is isomorphic to MO_{(q+1)/2}.  Its q + 1 atoms are checked
+    against ``atom_limit()`` before GF(q) is built, whose tables take
+    O(q²) time and memory.
     """
     if q % 2 == 0:
         raise ValueError("even q rejected: characteristic-2 symmetric forms "
                          "are alternating, violating anti-reflexivity")
+    limit = atom_limit()
+    if q + 1 > limit:
+        raise EnumerationLimitError(
+            f"the line over GF({q}) has {q + 1} atoms, enumeration limit is "
+            f"{limit}; raise it with PLAT_LIMIT_ATOMS")
     F = field(q)
     if not 0 < lam < q:
         raise ValueError(f"lambda must be a nonzero element of GF({q})")

@@ -265,6 +265,13 @@ def test_verify_l0_over_atom_limit_is_usage_error():
                  "PLAT_LIMIT_ATOMS")
 
 
+def test_space_quad_over_atom_limit_is_usage_error():
+    # refused before GF(2003) is built
+    _usage_error(invoke("space", "quad", "--q", "2003"),
+                 "the line over GF(2003) has 2004 atoms, enumeration limit "
+                 "is 64", "PLAT_LIMIT_ATOMS")
+
+
 def test_verify_l0_isotropic_form_is_usage_error():
     _usage_error(invoke("verify", "--suite", "l0", "--q", "9", "--lam", "2"),
                  "isotropic over GF(9)")
@@ -341,6 +348,24 @@ def test_perp4_builds_fails_when_p2_holds(monkeypatch):
     checks = {c["id"]: c for c in rep["checks"]}
     assert checks["perp4-builds"]["pass"] is False
     assert checks["perp4-builds"]["witness"] is True
+    assert rep["pass"] is False
+
+
+def test_l0_report_fails_when_the_census_is_off(monkeypatch):
+    # the separated product's 114 sets in place of the 138 traces: 8 of
+    # them have 4 atoms, where the census at q = 3 counts 32
+    real = con_module.tensor_trace_lattice
+
+    def product_only(q, lam):
+        family, report = real(q, lam)
+        factor = family.carrier.left
+        return separated_product(factor, factor)[1], report
+
+    monkeypatch.setattr(con_module, "tensor_trace_lattice", product_only)
+    rep = run_verify_suite("l0", {"seed": 0, "trials": 25, "q": 3, "lam": 1})
+    checks = {c["id"]: c for c in rep["checks"]}
+    assert [cid for cid, c in checks.items() if not c["pass"]] == ["l0-report"]
+    assert checks["l0-report"]["witness"]["intersection_closed"] is True
     assert rep["pass"] is False
 
 

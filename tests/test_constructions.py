@@ -11,7 +11,7 @@ from platlab.constructions import (CRelation, FactorBijection, PairingData,
                                    build_perp4, build_perp5,
                                    enumerate_subspaces,
                                    gaussian_binomial, mo_pair_swap_bijection,
-                                   tensor_trace_lattice)
+                                   tensor_trace_lattice, trace_census)
 from platlab.closure import (CarrierMismatchError, ClosureSystem,
                              EnumerationLimitError)
 from platlab.gf import field
@@ -371,18 +371,23 @@ Q7_CENSUS = {0: 1, 1: 64, 2: 1568, 8: 352, 15: 64, 64: 1}
     (7, 1, Q7_CENSUS),
     (7, 2, Q7_CENSUS),
     (7, 4, Q7_CENSUS),
-], ids=["q3-lam1", "q5-lam2", "q5-lam3", "q7-lam1", "q7-lam2", "q7-lam4"])
+    (9, 4, {0: 1, 1: 100, 2: 4050, 10: 740, 19: 100, 100: 1}),
+], ids=["q3-lam1", "q5-lam2", "q5-lam3", "q7-lam1", "q7-lam2", "q7-lam4",
+        "q9-lam4"])
 def test_tensor_trace_sizes(q, lam, census, monkeypatch):
     # a line of PG(3, q) meets the quadric of product states in 0, 1, 2 or
     # q + 1 points, and a plane in a conic (q + 1) or two lines (2q + 1):
     # no trace has 3 atoms, so the report's triples count is 0.  q = 7 has
-    # 2,050 traces, above the default orthocomplementation search limit
+    # 2,050 traces, above the default orthocomplementation search limit,
+    # and q = 9 has 100 product atoms, above the default atom cap.  The
+    # trace count and closedness hold by proof; the sizes can go wrong
     monkeypatch.setattr(lattice, "ORTHOCOMPLEMENT_SEARCH_LIMIT", 10**9)
+    monkeypatch.setenv("PLAT_LIMIT_ATOMS", "100")
     family, report = tensor_trace_lattice(q, lam)
     sizes = {}
     for m in family.masks:
         sizes[m.bit_count()] = sizes.get(m.bit_count(), 0) + 1
-    assert sizes == census
+    assert sizes == census == trace_census(q)
     assert report.trace_count == sum(census.values())
     assert report.triples == 0
     # the diagonal {(i, i)} of the (q + 1) × (q + 1) product atoms

@@ -11,7 +11,10 @@ arbitrary families (duplicates, ∅ and Σ, no seeds at all), on families
 with more irreducible seeds than atoms, which do, and on the q = 3 and
 q = 5 tensor-trace families, and must raise on ``max_sets`` exactly when
 the BFS does.  Closed families of relations (enumerated, brute-forced or
-rebuilt as explicit systems) must never reach the column side.
+rebuilt as explicit systems) must never reach the column side.  There
+each extent is read off two generators, or ANDed generator by generator
+where that read-off misses; families that miss it must give the BFS's
+sets too.
 """
 
 from itertools import combinations
@@ -103,6 +106,47 @@ def wide_families(draw, max_atoms=10):
     return draw(st.permutations(seeds)), full
 
 
+@st.composite
+def handover_families(draw, max_atoms=10):
+    """More than n distinct k-subsets of n ≥ 4 atoms, with ∅, Σ and
+    repeats, in any order.  No k-subset is an intersection of others, so
+    each is added when its turn comes, and the (n + 1)-th hands over."""
+    n = draw(st.integers(4, max_atoms))
+    full = (1 << n) - 1
+    k = draw(st.integers(2, n - 2))
+    ksets = draw(st.permutations(
+        [sum(1 << i for i in c) for c in combinations(range(n), k)]))
+    seeds = ksets[:draw(st.integers(n + 1, len(ksets)))]
+    seeds += draw(st.sampled_from([[], [0], [full], [0, full, full]]))
+    seeds += draw(st.lists(st.sampled_from(seeds), max_size=4))
+    return draw(st.permutations(seeds)), full
+
+
+def _traced_closure(seeds, full):
+    """The kernel's closure of ``seeds``, the generator count of each
+    handover, and the extents that the column side's read-off missed: its
+    check ANDs columns up to the set of all generators, the fallback ANDs
+    generators up to ``full``."""
+    handed, missed = [], []
+    close_columns, polar = pykernel._close_columns, pykernel.polar
+
+    def counted(gens, full, max_sets):
+        handed.append(len(gens))
+        return close_columns(gens, full, max_sets)
+
+    def watched(rows, mask, top):
+        out = polar(rows, mask, top)
+        if top == full:
+            missed.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pykernel, "_close_columns", counted)
+        mp.setattr(pykernel, "polar", watched)
+        closed = pykernel.intersection_closure(seeds, full)
+    return sorted(closed), handed, missed
+
+
 @SETTINGS
 @given(relation_rows())
 def test_closure_of_relation_rows_matches_bfs(case):
@@ -154,6 +198,33 @@ def test_more_irreducible_seeds_than_atoms_hand_over(monkeypatch, full, extra,
             _closure_or_limit(old_intersection_closure, seeds, full, limit)
     assert len(pykernel.intersection_closure(seeds, full)) == 17
     assert set(calls) == {handed}
+
+
+@SETTINGS
+@given(handover_families())
+def test_families_that_hand_over_match_bfs(case):
+    seeds, full = case
+    closed, handed, _ = _traced_closure(seeds, full)
+    # once, with more generators than atoms
+    assert len(handed) == 1 and handed[0] > full.bit_length()
+    assert closed == old_intersection_closure(seeds, full)
+
+
+@pytest.mark.parametrize("seeds,full,sizes", [
+    # the ten 2-subsets of 5 atoms: their two lowest generators meet in
+    # one atom, so only ∅'s extent is missed
+    ([1 << i | 1 << j for i, j in combinations(range(5), 2)], 31, [0]),
+    # the 40 hyperplane traces at q = 3: the two lowest planes through a
+    # point meet in a line with more points of the quadric
+    ([_row_mask(field(3), 1, row) for (row,) in enumerate_subspaces(3, 4)[1]],
+     (1 << 16) - 1, [0] + [1] * 16),
+], ids=["five-atoms", "q3-hyperplanes"])
+def test_missed_read_offs_fall_back_to_polar(seeds, full, sizes):
+    closed, handed, missed = _traced_closure(seeds, full)
+    assert handed == [len(seeds)]
+    assert sorted(m.bit_count() for m in missed) == sizes
+    assert set(missed) <= set(closed)
+    assert closed == old_intersection_closure(seeds, full)
 
 
 def test_closed_families_of_relations_never_hand_over(monkeypatch):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platlab import (dump_space, load_space, make_mo, make_powerset_space,
-                     make_quadratic_line_space, validate_relation)
+                     make_quadratic_line_space, orthospace, validate_relation)
+from platlab.closure import EnumerationLimitError
 from platlab.orthospace import (OrthoSpace, SpaceFormatError, _orthogonal,
                                 _row_defect)
 
@@ -145,6 +146,26 @@ def test_quadratic_space_rejects_isotropic():
 def test_quadratic_space_rejects_even_q():
     with pytest.raises(ValueError, match="even q"):
         make_quadratic_line_space(4, 1)
+
+
+def test_quadratic_space_over_atom_limit_is_refused_before_the_field(
+        monkeypatch):
+    # GF(2003)'s tables take about 14 s and 363 MB; the q + 1 atoms are
+    # refused before they are built
+    def refuse(q):
+        raise AssertionError(f"GF({q}) built")
+
+    monkeypatch.setattr(orthospace, "field", refuse)
+    with pytest.raises(EnumerationLimitError,
+                       match="GF.2003. has 2004 atoms, enumeration limit "
+                             "is 64"):
+        make_quadratic_line_space(2003, 1)
+    monkeypatch.setenv("PLAT_LIMIT_ATOMS", "4")
+    with pytest.raises(EnumerationLimitError, match="6 atoms"):
+        make_quadratic_line_space(5, 2)
+    monkeypatch.undo()
+    monkeypatch.setenv("PLAT_LIMIT_ATOMS", "4")
+    assert make_quadratic_line_space(3, 1).size == 4
 
 
 def test_dump_load_round_trip():
