@@ -169,7 +169,9 @@ class ClosureSystem:
     n + 1 buckets, filled in one pass on its first call.
     The constructor builds an explicit family (e.g. traces of subspaces);
     only ``enumerate_closed`` and ``brute_force_closed`` build a carrier's
-    relation system, whose joins are biclosures.
+    relation system, whose joins are biclosures.  Such a system also keeps
+    ``polars``, the table m ↦ m^⊥ of its members, built on first use; the
+    lattice analyses read ⊥ from it by lookup.
 
     Order queries run on an order core built on the first such query: for
     each atom p an int whose bit i is set iff ``masks[i]`` contains p
@@ -275,6 +277,25 @@ class ClosureSystem:
     def is_system_of(self, space) -> bool:
         """True iff enumerate_closed/brute_force_closed built it from space."""
         return self._of_relation and _same_carrier(self.carrier, space)
+
+    @cached_property
+    def polars(self):
+        """{m: m^⊥} for every member of a relation's own system.
+
+        ⊥ is an involution on the closed sets of a symmetric relation
+        (m^⊥ is closed and m^⊥⊥ = m), so one kernel polar fills the table
+        at m and at m^⊥.  An explicit family has no ⊥ of its own:
+        CarrierMismatchError."""
+        if not self._of_relation:
+            raise CarrierMismatchError(
+                "polars needs the closure system of the carrier's relation")
+        rows, full = self.carrier.rows, self.carrier.full
+        table = {}
+        for m in self.sets:
+            if m not in table:
+                pm = _kernel.polar(rows, m, full)
+                table[m], table[pm] = pm, m
+        return table
 
     def join_mask(self, u: int) -> int:
         """The least member containing an arbitrary mask u: the biclosure

@@ -198,12 +198,13 @@ def enumerate_subspaces(q: int, dim: int):
     generator matrices, grouped by subspace dimension (0..dim)."""
     if not 1 <= dim <= 4:
         raise ValueError("dimension must be between 1 and 4")
-    F = field(q)
-    total = _total_subspaces(q, dim)
-    if total > SUBSPACE_ENUM_LIMIT:
+    # counted before the field is built, which at q = 1009 takes seconds;
+    # GF(q) refuses q < 2, where the count would divide by zero
+    if q > 1 and (total := _total_subspaces(q, dim)) > SUBSPACE_ENUM_LIMIT:
         raise EnumerationLimitError(
             f"{total} subspaces exceeds limit {SUBSPACE_ENUM_LIMIT}; raise "
             "it by setting platlab.constructions.SUBSPACE_ENUM_LIMIT")
+    F = field(q)
     by_dim = {0: [()]}
     for k in range(1, dim + 1):
         by_dim[k] = list(_rref_matrices(F, dim, k))

@@ -4,14 +4,15 @@ Covering property, orthomodularity, center and central covers,
 automorphism search, transitivity, and existence of an orthocomplementation.
 All witnesses are lexicographically minimal in the canonical closed-set
 order, so reports are deterministic.  The analyses that read ⊥ need the
-closure system of the carrier's own relation (CarrierMismatchError if not).
+closure system of the carrier's own relation (CarrierMismatchError if not),
+and read the polar of a closed set from its table ``polars``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from . import _kernel
 from .bits import ids
 from .closure import (CarrierMismatchError, ClosureSystem,
                       EnumerationLimitError, _same_carrier, canonical_order)
@@ -106,45 +107,66 @@ def covering_property(sys: ClosureSystem) -> Verdict:
     first in canonical order of the closed sets strictly between a and
     b = a ∨ p.  Every such c of least size is a ∨ r for each of its atoms
     r ∉ a, and every a ∨ r ≠ b with r ∈ b∖a is a member strictly between,
-    so c is read off the joins a ∨ r: n − |a| joins per a.  Each r lies in
-    a ∨ r, so the atoms r ∉ a with a ∨ r = b form a subset of b∖a, and
-    covering holds at a iff that class is all of b∖a for every join value
-    b: one pass over the joins.  The per-p scan runs only on the first a
-    where it fails, for the witness.
+    so c is read off the joins a ∨ r: n − |a| ``join_mask`` calls, made on
+    the first failing a only.
 
-    A join is made once per key, in one table for the call.  On a
-    relation's own system a ∨ r = (a^⊥ ∩ r^⊥)^⊥, so the key is
-    a^⊥ ∩ r^⊥, with one polar a^⊥ per a; on an explicit family it is
-    a ∪ {r}.
+    Covering holds at a iff, for every join value b, the class of the
+    atoms r ∉ a with a ∨ r = b is all of b∖a.  The class lies in b∖a, as
+    r ∈ a ∨ r.  If b covers a, each s ∈ b∖a has a ⊊ a ∨ s ⊆ b, so
+    a ∨ s = b.  If a closed c lies strictly between a and b, an s ∈ c∖a
+    has a ∨ s ⊆ c ≠ b though s ∈ b∖a.
+
+    On a relation's own system the classes are counted, with no join.  Let
+    P = ``sys.polars`` and, for an atom r, key(r) = a^⊥ ∩ r^⊥, a closed
+    set.  key(r) = a^⊥ iff a^⊥ ⊆ r^⊥, iff r ∈ a^⊥⊥ = a (⊥ is symmetric),
+    so the key a^⊥ collects exactly the atoms of a.  For r ∉ a,
+    a ∨ r = (a ∪ {r})^⊥⊥ = (a^⊥ ∩ r^⊥)^⊥ = P[key(r)], and P is one to one,
+    so the class of b = a ∨ r is the atoms with key b^⊥, and it lies in
+    P[key]∖a.  Covering holds at a iff every key but a^⊥ counts
+    |P[key]∖a| atoms: one ``Counter`` over the n rows per a.  An explicit
+    family makes its joins, one ``join_mask`` per set a ∪ {r} in the call.
     """
     carrier = sys.carrier
-    full, rows = carrier.full, carrier.rows
-    own = sys.is_system_of(carrier)
-    made = {}  # key -> a ∨ r
+    full = carrier.full
+    if sys.is_system_of(carrier):
+        P, rows = sys.polars, carrier.rows
+        for am in sys.masks:
+            pa = P[am]
+            counts = Counter(map(pa.__and__, rows))
+            counts.pop(pa, None)  # the atoms of a
+            if any(k != (P[key] & ~am).bit_count()
+                   for key, k in counts.items()):
+                return _covering_witness(carrier, am, {
+                    r: sys.join_mask(am | 1 << r) for r in ids(full ^ am)})
+        return Verdict(True, None)
+    made = {}  # a ∪ {r} -> a ∨ r
     for am in sys.masks:
         joins, classes = {}, {}
-        if own:
-            pa = _kernel.polar(rows, am, full)
         for r in ids(full ^ am):
             u = am | 1 << r
-            key = pa & rows[r] if own else u
-            bm = made.get(key)
+            bm = made.get(u)
             if bm is None:
-                bm = made[key] = sys.join_mask(u)
+                bm = made[u] = sys.join_mask(u)
             joins[r] = bm
             classes[bm] = classes.get(bm, 0) | 1 << r
-        if all(cls == bm & ~am for bm, cls in classes.items()):
-            continue
-        for p, bm in joins.items():
-            between = {joins[r] for r in ids(bm & ~am)} - {bm}
-            if between:
-                first = canonical_order(carrier, between)[0]
-                return Verdict(False, (ids(am), p, ids(first)))
+        if any(cls != bm & ~am for bm, cls in classes.items()):
+            return _covering_witness(carrier, am, joins)
     return Verdict(True, None)
 
 
+def _covering_witness(carrier, am, joins) -> Verdict:
+    """The failure at a, from its joins {r: a ∨ r}: the first p whose join
+    b has members strictly between, and the first of those, a join a ∨ r
+    with r ∈ b∖a."""
+    for p, bm in joins.items():
+        between = {joins[r] for r in ids(bm & ~am)} - {bm}
+        if between:
+            first = canonical_order(carrier, between)[0]
+            return Verdict(False, (ids(am), p, ids(first)))
+
+
 def _require_own_system(space, sys: ClosureSystem):
-    # the polarity analyses read ⊥ from space and the closed sets from sys
+    # the polarity analyses read ⊥ from sys.polars and space's rows
     if not sys.is_system_of(space):
         raise CarrierMismatchError(
             "the analysis needs the closure system of the carrier's relation")
@@ -158,7 +180,7 @@ def orthomodularity(space, sys: ClosureSystem) -> Verdict:
     iff no closed b ⊋ a has b ∩ a^⊥ = ∅.  Such a b exists iff some atom
     r ∉ a ∪ a^⊥ has (a ∨ r) ∩ a^⊥ = ∅, with a ∨ r = (a^⊥ ∩ r^⊥)^⊥: a ∨ r
     is one such b, and for a given b any r ∈ b∖a has a ∨ r ⊆ b.  That is
-    at most n polars per closed a.
+    at most n + 1 lookups in ``sys.polars`` per closed a, and no polar.
 
     Only when it fails is the minimal pair found, by a scan in canonical
     order that skips the pairs where the law holds by definition: a = ∅
@@ -170,10 +192,10 @@ def orthomodularity(space, sys: ClosureSystem) -> Verdict:
     _require_own_system(space, sys)
     if not _has_foulis_holland_pair(space, sys):
         return Verdict(True, None)
-    masks = sys.masks
+    P, masks = sys.polars, sys.masks
     for i in range(1, len(masks) - 1):
         am = masks[i]
-        pa = _kernel.polar(space.rows, am, space.full)
+        pa = P[am]
         for bm in masks[i + 1:-1]:
             if am & ~bm:
                 continue
@@ -185,12 +207,11 @@ def orthomodularity(space, sys: ClosureSystem) -> Verdict:
 def _has_foulis_holland_pair(space, sys) -> bool:
     """True iff some closed a has an atom r ∉ a ∪ a^⊥ with
     (a ∨ r) ∩ a^⊥ = ∅, that is, iff the law of ``orthomodularity``
-    fails."""
-    rows, full = space.rows, space.full
-    for am in sys.sets:
-        pa = _kernel.polar(rows, am, full)
+    fails; a^⊥ and a ∨ r = (a^⊥ ∩ r^⊥)^⊥ are read from ``sys.polars``."""
+    P, rows, full = sys.polars, space.rows, space.full
+    for am, pa in P.items():
         for r in ids(full & ~(am | pa)):
-            if not _kernel.polar(rows, pa & rows[r], full) & pa:
+            if not P[pa & rows[r]] & pa:
                 return True
     return False
 
@@ -204,11 +225,8 @@ def center(sys: ClosureSystem, space):
     being symmetric, all of Σ∖z to z, so x ∨ y = x ∪ y.
     """
     _require_own_system(space, sys)
-    full = space.full
-    # Σ∖z closed is implied by the polar test; the set lookup is cheaper
-    return [zm for zm in sys.masks
-            if full ^ zm in sys.sets
-            and _kernel.polar(space.rows, zm, full) == full ^ zm]
+    full, P = space.full, sys.polars
+    return [zm for zm in sys.masks if P[zm] == full ^ zm]
 
 
 def central_cover(sys: ClosureSystem, space, p: int):
@@ -332,8 +350,8 @@ def find_orthocomplementation(sys: ClosureSystem, max_elements=None):
     On the closure system of a relation (always symmetric and
     anti-reflexive) the polar map a ↦ a^⊥ is one, with no limit: it is an
     order-reversing involution on the closed sets, a ∧ a^⊥ = ∅ by
-    anti-reflexivity, and a ∨ a^⊥ = (a^⊥ ∩ a^⊥⊥)^⊥ = ∅^⊥ = Σ.  As
-    a^⊥⊥ = a, one polar fills the table at a and at a^⊥.
+    anti-reflexivity, and a ∨ a^⊥ = (a^⊥ ∩ a^⊥⊥)^⊥ = ∅^⊥ = Σ.  The
+    answer is a copy of ``sys.polars``.
 
     A family built by the ``ClosureSystem`` constructor, such as the tensor
     traces, is searched, and only then does ``ORTHOCOMPLEMENT_SEARCH_LIMIT``
@@ -352,12 +370,7 @@ def find_orthocomplementation(sys: ClosureSystem, max_elements=None):
     """
     carrier = sys.carrier
     if sys.is_system_of(carrier):
-        table = {}  # the polar is an involution: one polar per pair
-        for m in sys.sets:
-            if m not in table:
-                pm = _kernel.polar(carrier.rows, m, carrier.full)
-                table[m], table[pm] = pm, m
-        return table
+        return dict(sys.polars)  # a copy: the caller may change it
     if max_elements is None:
         max_elements = ORTHOCOMPLEMENT_SEARCH_LIMIT
     if len(sys) > max_elements:

@@ -290,6 +290,20 @@ def test_subspace_enumeration_limit():
         enumerate_subspaces(23, 4)
 
 
+def test_subspace_limit_is_checked_before_the_field():
+    # GF(1009) takes seconds to build; the refusal builds no field
+    before = field.cache_info().currsize
+    with pytest.raises(EnumerationLimitError):
+        enumerate_subspaces(1009, 4)
+    assert field.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 10])
+def test_subspaces_of_a_non_prime_power_under_the_limit(q):
+    with pytest.raises(ValueError, match="not a prime power"):
+        enumerate_subspaces(q, 4)
+
+
 def test_tensor_trace_lattice_q3(fixture_dir):
     family, report = tensor_trace_lattice(3, 1)
     j = report.to_json()

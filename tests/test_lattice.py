@@ -111,6 +111,8 @@ def test_a_hand_built_family_is_searched_not_trusted(mo2):
     chain = ClosureSystem(mo2, [0, 0b0001, 0b1111])
     assert find_orthocomplementation(chain) is None
     with pytest.raises(CarrierMismatchError):
+        chain.polars
+    with pytest.raises(CarrierMismatchError):
         analysis_report(mo2, chain)
     with pytest.raises(CarrierMismatchError):
         orthomodularity(mo2, chain)
