@@ -38,41 +38,21 @@ def intersection_closure(seeds, full, max_sets=0):
     one lookup.  Raises ValueError when more than ``max_sets`` sets appear
     (0 = unlimited); the count is checked after each seed.
 
-    At most n = ``full.bit_length()`` distinct seeds, such as a relation's
-    polar rows, run the loop below and nothing else.  More go through
-    ``_close_wide``, which may hand the family over to its atoms' columns.
-    """
-    order = sorted(set(seeds), reverse=True)
-    if len(order) > full.bit_length():
-        return _close_wide(order, full, max_sets)
-    out = {full}
-    for s in order:
-        if s in out:
-            continue
-        out |= {x & s for x in out}
-        if max_sets and len(out) > max_sets:
-            raise ValueError(f"closure enumeration exceeded {max_sets} sets")
-    return out
-
-
-def _close_wide(order, full, max_sets):
-    """``intersection_closure`` of the distinct seeds ``order``, largest
-    first, when they outnumber the n atoms.
-
-    The seeds are added one at a time as there, counting those added.  Once
-    n have been added, a further seed outside F hands the family over: the
+    The seeds that add sets are counted.  Once n = ``full.bit_length()``
+    have been added, a further seed outside F hands the family over: the
     n atom columns, over the seeds added and the seeds still outside F, are
-    closed instead (``_close_columns``).  The switch counts seeds added,
-    not seeds given: a closed family adds only its meet-irreducibles, which
-    on a relation's closed sets are among its n polar rows, so
-    ``brute_force_closed`` and a relation's closed family rebuilt as an
-    explicit system never hand over, where the columns would be as wide as
-    the family.
+    closed instead (``_close_columns``).  At most n distinct seeds, such as
+    a relation's polar rows, never get that far.  The switch counts seeds
+    added, not seeds given: a closed family adds only its
+    meet-irreducibles, which on a relation's closed sets are among its n
+    polar rows, so ``brute_force_closed`` and a relation's closed family
+    rebuilt as an explicit system never hand over, where the columns would
+    be as wide as the family.
     """
     n = full.bit_length()
     out = {full}
     added = []
-    rest = iter(order)
+    rest = iter(sorted(set(seeds), reverse=True))
     for s in rest:
         if s in out:
             continue
@@ -102,8 +82,8 @@ def _close_columns(gens, full, max_sets):
     closed d is (ext d)′.  So the two families give the same sets and
     have the same size; both closures grow monotonically to that size, so
     ``max_sets`` raises on one side exactly when it raises on the other.
-    The inner closure runs the plain loop: its at most n seeds are fewer
-    than its len(gens) > n atoms.
+    The inner closure never hands over again: its at most n seeds are
+    fewer than its len(gens) > n atoms.
 
     Each extent is read off at most two generators where that is exact.
     Let j₁ < j₂ be the lowest generators in a closed d, and c = g_j₁ ∩

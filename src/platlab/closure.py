@@ -47,6 +47,8 @@ class AtomSubset:
     __slots__ = ("bits", "space")
 
     def __init__(self, space, bits: int):
+        if type(bits) is not int:
+            raise ValueError(f"bits must be an int, not {bits!r}")
         if not 0 <= bits <= space.full:
             raise ValueError("bits outside carrier range")
         self.space = space
@@ -149,6 +151,30 @@ def canonical_order(carrier, sets):
     return masks
 
 
+def canonical_first(carrier, sets, pred=None):
+    """The first member m of ``sets`` in canonical order with pred(m), or
+    with no test when pred is None; None if there is none.
+
+    One pass, no sort.  A set larger than the best hit so far comes after
+    it, and so does one of the same size whose lowest atom is higher, so
+    pred is tested only on the rest.  The hits left at the end share their
+    size and lowest atom, and ``_tie_key`` orders them."""
+    size, low, hits = carrier.size + 1, 0, []
+    for m in sets:
+        k = m.bit_count()
+        if k > size or k == size and m & -m > low:
+            continue
+        if pred is not None and not pred(m):
+            continue
+        if k < size or m & -m < low:
+            size, low, hits = k, m & -m, [m]
+        else:
+            hits.append(m)
+    if len(hits) > 1:
+        return min(hits, key=_tie_key(carrier))
+    return hits[0] if hits else None
+
+
 class ClosureSystem:
     """A fully enumerated intersection-closed family over one carrier.
 
@@ -163,10 +189,9 @@ class ClosureSystem:
     ``sets`` holds the closed sets, unordered; membership tests read it.
     ``masks``, the closed sets in canonical order (cardinality, then the
     ascending index tuple), is built on first use; a caller that needs a
-    few sets in that order sorts them with ``canonical_order``.
-    ``first(pred)`` finds the canonical-first member with a property
-    without building that order: it scans the members size by size from
-    n + 1 buckets, filled in one pass on its first call.
+    few sets in that order sorts them with ``canonical_order``, and one
+    that needs the first member with a property finds it in one pass over
+    ``sets`` with ``canonical_first``.
     The constructor builds an explicit family (e.g. traces of subspaces);
     only ``enumerate_closed`` and ``brute_force_closed`` build a carrier's
     relation system, whose joins are biclosures.  Such a system also keeps
@@ -210,36 +235,6 @@ class ClosureSystem:
     @cached_property
     def masks(self):
         return canonical_order(self.carrier, self.sets)
-
-    @cached_property
-    def _by_size(self):
-        # bucket k holds the members of k atoms, in no particular order
-        buckets = [[] for _ in range(self.carrier.size + 1)]
-        for m in self.sets:
-            buckets[m.bit_count()].append(m)
-        return buckets
-
-    def first(self, pred):
-        """The first member m in canonical order with pred(m), or None.
-
-        The members are scanned size by size from one cached list of n + 1
-        buckets, so ``masks`` is not built.  In the first size that has a
-        hit, canonical order puts a set with a lower lowest atom first, so
-        the rest of that size is tested only where its lowest atom is no
-        higher than the best hit's, and the canonical tie-break runs only
-        among the hits."""
-        for bucket in self._by_size:
-            rest = iter(bucket)
-            hit = next(filter(pred, rest), None)
-            if hit is not None:
-                hits, low = [hit], hit & -hit
-                for m in rest:
-                    if m & -m <= low and pred(m):
-                        hits.append(m)
-                        low = m & -m
-                return hit if len(hits) == 1 else min(
-                    hits, key=_tie_key(self.carrier))
-        return None
 
     def __len__(self):
         return len(self.sets)

@@ -17,7 +17,7 @@ from itertools import combinations, product
 # kernel, so removing it breaks `perfbench/run.py --trace 1`
 from ._kernel import pykernel  # noqa: F401
 from .bits import ids, rect
-from .closure import ClosureSystem, EnumerationLimitError
+from .closure import ClosureSystem, EnumerationLimitError, canonical_first
 from .gf import field
 from .lattice import (apply_perm_mask, find_orthocomplementation, invert,
                       is_permutation)
@@ -40,6 +40,10 @@ class CRelation:
 
     @classmethod
     def from_adjacency(cls, space: OrthoSpace, lists) -> "CRelation":
+        lists = list(lists)
+        if len(lists) != space.size:
+            raise ValueError(f"C adjacency has {len(lists)} lists for "
+                             f"{space.size} atoms")
         rows = [0] * space.size
         for p, neighbors in enumerate(lists):
             for q in neighbors:
@@ -312,7 +316,7 @@ def tensor_trace_lattice(q: int, lam: int):
     family_sys = ClosureSystem(prod, table.values())
 
     contains = sepsys.sets <= family_sys.sets
-    witness = family_sys.first(lambda m: m not in sepsys.sets)
+    witness = canonical_first(prod, family_sys.sets - sepsys.sets)
     oc = find_orthocomplementation(family_sys)
     report = L0Report(
         trace_count=len(family_sys),

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 from .bits import ids
 from .closure import (CarrierMismatchError, ClosureSystem,
-                      EnumerationLimitError, _same_carrier, canonical_order)
+                      EnumerationLimitError, _same_carrier, canonical_first,
+                      canonical_order)
 from .orthospace import Verdict
 
 AUTOMORPHISM_SEARCH_LIMIT = 16
@@ -124,7 +126,7 @@ def covering_property(sys: ClosureSystem) -> Verdict:
     so the class of b = a ∨ r is the atoms with key b^⊥, and it lies in
     P[key]∖a.  Covering holds at a iff every key but a^⊥ counts
     |P[key]∖a| atoms: one ``Counter`` over the n rows per a.  An explicit
-    family makes its joins, one ``join_mask`` per set a ∪ {r} in the call.
+    family makes its joins, n − |a| ``join_mask`` calls per a.
     """
     carrier = sys.carrier
     full = carrier.full
@@ -139,15 +141,10 @@ def covering_property(sys: ClosureSystem) -> Verdict:
                 return _covering_witness(carrier, am, {
                     r: sys.join_mask(am | 1 << r) for r in ids(full ^ am)})
         return Verdict(True, None)
-    made = {}  # a ∪ {r} -> a ∨ r
     for am in sys.masks:
-        joins, classes = {}, {}
-        for r in ids(full ^ am):
-            u = am | 1 << r
-            bm = made.get(u)
-            if bm is None:
-                bm = made[u] = sys.join_mask(u)
-            joins[r] = bm
+        joins = {r: sys.join_mask(am | 1 << r) for r in ids(full ^ am)}
+        classes = {}
+        for r, bm in joins.items():
             classes[bm] = classes.get(bm, 0) | 1 << r
         if any(cls != bm & ~am for bm, cls in classes.items()):
             return _covering_witness(carrier, am, joins)
@@ -161,8 +158,8 @@ def _covering_witness(carrier, am, joins) -> Verdict:
     for p, bm in joins.items():
         between = {joins[r] for r in ids(bm & ~am)} - {bm}
         if between:
-            first = canonical_order(carrier, between)[0]
-            return Verdict(False, (ids(am), p, ids(first)))
+            return Verdict(False, (ids(am), p,
+                                   ids(canonical_first(carrier, between))))
 
 
 def _require_own_system(space, sys: ClosureSystem):
@@ -187,19 +184,20 @@ def orthomodularity(space, sys: ClosureSystem) -> Verdict:
     (b ∨ ∅ = b), b = a (a ∧ a^⊥ = ∅, the relation being anti-reflexive)
     and b = Σ (a ∨ a^⊥ = Σ).  A b ⊋ a is larger, so it comes after a in
     canonical order, and Σ comes last; the first failing pair is
-    unchanged.
+    unchanged.  Each pair's join a ∨ (b ∩ a^⊥) = (a^⊥ ∩ (b ∩ a^⊥)^⊥)^⊥ is
+    two lookups in ``sys.polars``, as b ∩ a^⊥ and a^⊥ ∩ (b ∩ a^⊥)^⊥ are
+    closed.
     """
     _require_own_system(space, sys)
     if not _has_foulis_holland_pair(space, sys):
         return Verdict(True, None)
-    P, masks = sys.polars, sys.masks
-    for i in range(1, len(masks) - 1):
-        am = masks[i]
+    P, inner = sys.polars, sys.masks[1:-1]
+    for i, am in enumerate(inner):
         pa = P[am]
-        for bm in masks[i + 1:-1]:
+        for bm in islice(inner, i + 1, None):
             if am & ~bm:
                 continue
-            if sys.join_mask(am | (bm & pa)) != bm:
+            if P[pa & P[bm & pa]] != bm:
                 return Verdict(False, (ids(am), ids(bm)))
     return Verdict(True, None)
 

@@ -16,7 +16,8 @@ from functools import lru_cache
 from . import _kernel, lattice
 from .bits import ids, rect
 from .closure import (AtomSubset, CarrierMismatchError, ClosureSystem,
-                      EnumerationLimitError, canonical_order, enumerate_closed)
+                      EnumerationLimitError, canonical_first, canonical_order,
+                      enumerate_closed)
 from .lattice import (_require_own_system, apply_perm_mask, automorphisms,
                       invert, is_permutation)
 from .orthospace import (OrthoSpace, Verdict, _require_orthogonality,
@@ -240,7 +241,7 @@ def _check_p3(prod, sys, L1sys, L2sys) -> Verdict:
         bases = failing = _scan_open_cylinders(prod, sys, L1sys, L2sys)
     if not failing:
         return Verdict(True, None)
-    side, a = bases[canonical_order(prod, failing)[0]]
+    side, a = bases[canonical_first(prod, failing)]
     return Verdict(False, {"side": side, "set": ids(a)})
 
 
@@ -302,7 +303,8 @@ def _walk_lifts(prod, sys, W1, W2):
 def _check_p4(prod, sys, W1, W2):
     """(P4, P4*) from one walk of the lifts (see _walk_lifts).  A lift that
     moves a closed set out fails both, with the canonical-first such set,
-    which ``first`` finds on that lift alone.  Where P4 holds, P4* fails at
+    which ``canonical_first`` finds on that lift alone, testing only the
+    sets that could still come first.  Where P4 holds, P4* fails at
     the first lift and atom that do not commute with the polarity."""
     failing, moved = _walk_lifts(prod, sys, W1, W2)
     if failing is None:
@@ -321,7 +323,7 @@ def _check_p4(prod, sys, W1, W2):
         return image not in sets
 
     p4 = Verdict(False, {"u1": list(u1), "u2": list(u2),
-                         "set": ids(sys.first(moved_out))})
+                         "set": ids(canonical_first(prod, sets, moved_out))})
     return p4, p4
 
 
@@ -377,8 +379,8 @@ def check_axioms(prod: ProductSpace, L1sys: ClosureSystem,
 
     P3 looks up the closed sets among the open cylinders (see _check_p3).
     P4 and P4* are decided in one walk of the lifts on the n polar rows,
-    and ``first`` scans the closed sets only on the failing lift, for its
-    witness (see _check_p4).
+    and ``canonical_first`` scans the closed sets only on the failing lift,
+    for its witness (see _check_p4).
     The tables that depend on the factors alone are cached by value: the #
     rows by the two factor spaces; the P2 cylinder unions, and the P3 open
     cylinders with their side and base, by the factor spaces and the factor

@@ -61,6 +61,11 @@ def test_atom_subset_algebra():
     for index in (True, 1.0):
         with pytest.raises(ValueError, match="atom index out of range"):
             AtomSubset.from_indices(s, [index])
+    # 1.5 would pass `0 <= bits <= full` and fail later in indices(), and
+    # True stand for atom 0
+    for bits in (1.5, True):
+        with pytest.raises(ValueError, match="bits must be an int"):
+            AtomSubset(s, bits)
 
 
 def test_carrier_mismatch_raises():
@@ -215,11 +220,23 @@ def test_first_breaks_ties_in_canonical_order():
     space = OrthoSpace([f"x{i}" for i in range(4)], [0] * 4)
     sys = ClosureSystem(space, [0, 0b0001, 0b0110, 0b1001, 0b1110, 0b1101,
                                 0b1011, 0b1111])
-    assert sys.first(lambda m: m in (0b0110, 0b1001)) == 0b1001
-    assert sys.first(lambda m: m.bit_count() == 3) == 0b1011
-    assert sys.first(lambda m: m in (0b1110, 0b1101)) == 0b1101
-    assert sys.first(lambda m: m in (0b1110, 0b0001)) == 0b0001
-    assert sys.first(lambda m: m > 0b1111) is None
+
+    def first(pred=None, sets=sys.sets):
+        return closure.canonical_first(space, sets, pred)
+
+    assert first(lambda m: m in (0b0110, 0b1001)) == 0b1001
+    assert first(lambda m: m.bit_count() == 3) == 0b1011
+    assert first(lambda m: m in (0b1110, 0b1101)) == 0b1101
+    assert first(lambda m: m in (0b1110, 0b0001)) == 0b0001
+    assert first(lambda m: m > 0b1111) is None
+    assert first() == 0 and first(sets=[]) is None
+    assert first(sets=[0b1110, 0b0110, 0b1001]) == 0b1001
+    # hits of one size and one lowest atom: {0,1,3}, {0,2,3} and {0,1,2}
+    # share atom 0; the tie-break reads the next atoms
+    tied = [0b1101, 0b0111, 0b1011, 0b1110]
+    for sets in (tied, tied[::-1]):
+        assert first(sets=sets) == 0b0111
+        assert first(lambda m: m != 0b0111, sets) == 0b1011
     assert "masks" not in vars(sys) and "index" not in vars(sys)
 
 

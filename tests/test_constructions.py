@@ -50,6 +50,12 @@ def test_c_relation_validation(mo2):
     for index in (True, 2.0):
         with pytest.raises(ValueError, match="C adjacency index out of range"):
             CRelation.from_adjacency(mo2, [[index], [], [], []])
+    # 5 lists would index past the rows, and 2 leave atoms 2 and 3 with
+    # empty rows: (0b10, 0b01, 0, 0) is a valid C-relation
+    with pytest.raises(ValueError, match="5 lists for 4 atoms"):
+        CRelation.from_adjacency(mo2, C_MO2 + [[]])
+    with pytest.raises(ValueError, match="2 lists for 4 atoms"):
+        CRelation.from_adjacency(mo2, [[1], [0]])
 
 
 def test_perp2_formula(setup):

@@ -56,6 +56,7 @@ from platlab import ClosureSystem, OrthoSpace, brute_force_closed
 from platlab import enumerate_closed, make_mo, make_powerset_space
 from platlab import _kernel, lattice, separated_product
 from platlab.bits import ids
+from platlab.closure import canonical_first
 from platlab.constructions import tensor_trace_lattice
 from platlab.lattice import (apply_perm_mask, automorphisms, center,
                              covering_property, find_orthocomplementation,
@@ -399,10 +400,11 @@ def test_first_matches_the_canonical_scan(spec, rnd):
     preds = [{m for m in sorted(sys.sets)
               if rnd.random() < density}.__contains__
              for density in (0.0, 0.2, 0.5, 0.8)]
-    got = [sys.first(pred) for pred in preds]
+    got = [canonical_first(sys.carrier, sys.sets, pred)
+           for pred in preds + [None]]
     assert "masks" not in vars(sys)
     assert got == [next((m for m in sys.masks if pred(m)), None)
-                   for pred in preds]
+                   for pred in preds] + [sys.masks[0]]
 
 
 def test_order_core_is_lazy():

@@ -292,10 +292,10 @@ def test_first_failing_axiom_decides_p4_without_a_witness(monkeypatch):
     assert p4.witness == {"u1": [1, 0, 2, 3, 4], "u2": [0, 1],
                           "set": [0, 4]}
 
-    def no_witness(self, pred):
+    def no_witness(carrier, sets, pred=None):
         raise AssertionError("the verdict-only scan looked for a witness")
 
-    monkeypatch.setattr(ClosureSystem, "first", no_witness)
+    monkeypatch.setattr(sepprod, "canonical_first", no_witness)
     assert sepprod._first_failing_axiom(prod, L1, L2, W1, W2) == "P4"
 
 
