@@ -1,5 +1,5 @@
-"""The closure kernel: polar, biclosure and intersection closure on int
-bit-vectors, implemented in ``pykernel``.
+"""The closure kernel: polar, biclosure, intersection closure and the
+transposed context on int bit-vectors, implemented in ``pykernel``.
 
 The package calls the kernel through the functions below.  They are defined
 here, not re-exported, so that the benchmark tracer (perfbench/tracer.py) can
@@ -21,3 +21,7 @@ def biclosure(rows, mask, full):
 
 def intersection_closure(seeds, full, max_sets=0):
     return pykernel.intersection_closure(seeds, full, max_sets)
+
+
+def columns(sets, n):
+    return pykernel.columns(sets, n)

@@ -66,13 +66,26 @@ def intersection_closure(seeds, full, max_sets=0):
     return out
 
 
+def columns(sets, n):
+    """The transposed context of ``sets``, masks on the atoms 0 … n − 1:
+    for each atom p, the bitset of the indices j with p ∈ sets[j]."""
+    cols = [0] * n
+    for j, m in enumerate(sets):
+        bit = 1 << j
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+    return cols
+
+
 def _close_columns(gens, full, max_sets):
     """The intersection closure of ``gens`` plus ``full``, closed on the
     side of the atoms of ``full``.
 
     In the context whose objects are the atoms and whose attributes are
     the generators, the column i′ of atom i is the bitset of the
-    generators that hold i, and for a generator set d, ext d =
+    generators that hold i (``columns``), and for a generator set d, ext d =
     polar(gens, d, full) is the intersection of the generators in d
     (``full`` for d = ∅).  Closing the columns, plus the set of all
     generators, gives the sets A′ = ∩{i′ : i ∈ A} over the atom sets A:
@@ -96,14 +109,7 @@ def _close_columns(gens, full, max_sets):
     tensor traces of 2 atoms have 8 generators, and all but 65 of the
     2,050 extents are read off.
     """
-    cols = [0] * full.bit_length()
-    for j, g in enumerate(gens):
-        bit = 1 << j
-        m = g & full
-        while m:
-            low = m & -m
-            cols[low.bit_length() - 1] |= bit
-            m ^= low
+    cols = columns([g & full for g in gens], full.bit_length())
     top = (1 << len(gens)) - 1
     # only the atoms of full are objects of the context
     closed = intersection_closure(

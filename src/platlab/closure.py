@@ -22,7 +22,11 @@ BRUTE_FORCE_ATOM_LIMIT = 20
 
 
 def atom_limit() -> int:
-    return int(os.environ.get("PLAT_LIMIT_ATOMS", 64))
+    raw = os.environ.get("PLAT_LIMIT_ATOMS", "64")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(
+            f"PLAT_LIMIT_ATOMS must be a positive integer, not {raw!r}")
+    return int(raw)
 
 
 class CarrierMismatchError(ValueError):
@@ -198,21 +202,19 @@ class ClosureSystem:
     ``polars``, the table m ↦ m^⊥ of its members, built on first use; the
     lattice analyses read ⊥ from it by lookup.
 
-    Order queries run on an order core built on the first such query: for
-    each atom p an int whose bit i is set iff ``masks[i]`` contains p
-    (n × |L| bits; the extent of p in the context (Σ, Σ, ⊥)).  A set of
-    closed sets is then an index bitset, and with k = |m| and w the length
-    in words of an |L|-bit int:
+    Order queries read the generator context (Σ, G, ∈), whose concept
+    lattice the system is (Ganter & Wille, *Formal Concept Analysis*,
+    1999), built on the first such query: G, the distinct generators but
+    Σ (a relation's distinct polar rows, however it was enumerated), and
+    cols[p], the bitset of the generators holding atom p (n × |G| bits).
+    Every member is the meet of the generators containing it, so:
 
-    - ``up_set(m)``, the closed supersets of m: one kernel polar over the
-      columns, k ANDs of w words;
-    - ``atoms()``: one ``up_set`` per atom;
-    - explicit ``coatoms()``: one ``up_set`` per closed set, O(n·|L|·w)
-      in all (a relation's own system reads them off its n polar rows);
-    - explicit ``join_mask(u)``: one ``up_set``;
+    - explicit ``join_mask(u)``: polar over cols, then over G;
+    - ``atoms()``: one ``join_mask`` per atom;
+    - ``coatoms()``, ``meet_irreducibles()``: a polar per generator;
     - ``covers(a, b)``: one ``join_mask`` per atom of b∖a.
 
-    The build costs one pass over the members of every closed set.
+    None sorts ``masks``; the lists come in canonical order.
     """
 
     def __init__(self, carrier, generators):
@@ -231,6 +233,7 @@ class ClosureSystem:
                 "platlab.closure.DEFAULT_SET_LIMIT") from None
         if 0 not in self.sets:
             raise ValueError("closure system must contain ∅")
+        self._gens = gens
 
     @cached_property
     def masks(self):
@@ -292,31 +295,28 @@ class ClosureSystem:
                 table[m], table[pm] = pm, m
         return table
 
+    @cached_property
+    def _context(self):
+        gens = set(self.carrier.rows) if self._of_relation else self._gens
+        gens = tuple(sorted(gens - {self.carrier.full}))
+        return gens, _kernel.columns(gens, self.carrier.size)
+
+    def _above(self):
+        """(g, the index bitset of the generators h ⊋ g) per generator g."""
+        gens, cols = self._context
+        top = (1 << len(gens)) - 1
+        return [(g, _kernel.polar(cols, g, top) ^ 1 << j)
+                for j, g in enumerate(gens)]
+
     def join_mask(self, u: int) -> int:
         """The least member containing an arbitrary mask u: the biclosure
-        on a relation system; else the first member of up_set(u), as the
-        meet of the supersets is a member and the smallest of them."""
+        on a relation system; else the meet of the generators ⊇ u (Σ if
+        none), two kernel polars over the generator context."""
         if self._of_relation:
             return _kernel.biclosure(self.carrier.rows, u, self.carrier.full)
-        up = self.up_set(u)
-        return self.masks[(up & -up).bit_length() - 1]
-
-    @cached_property
-    def _columns(self):
-        # the order core: bit i of cols[p] is set iff masks[i] contains p
-        cols = [0] * self.carrier.size
-        for i, m in enumerate(self.masks):
-            bit = 1 << i
-            while m:
-                low = m & -m
-                cols[low.bit_length() - 1] |= bit
-                m ^= low
-        return cols
-
-    def up_set(self, m: int) -> int:
-        """Index bitset of the closed supersets of an arbitrary mask m: the
-        polar of m in the context whose rows are the order core's columns."""
-        return _kernel.polar(self._columns, m, (1 << len(self)) - 1)
+        gens, cols = self._context
+        return _kernel.polar(gens, _kernel.polar(
+            cols, u, (1 << len(gens)) - 1), self.carrier.full)
 
     def covers(self, a, b) -> bool:
         """True iff b covers a: a ⊊ b with no closed set strictly between.
@@ -328,33 +328,31 @@ class ClosureSystem:
         return all(self.join_mask(am | 1 << p) == bm for p in ids(bm & ~am))
 
     def atoms(self):
-        """Minimal nonzero members in canonical order: the next is the first
-        member outside ``above``, ∅ and the supersets of those found so far;
-        smaller members come first."""
-        atoms = []
-        above = 1  # masks[0] is ∅
-        for i, m in enumerate(self.masks):
-            if not above >> i & 1:
-                atoms.append(m)
-                above |= self.up_set(m)
-        return atoms
+        """Minimal nonzero members, in canonical order.  With least[p] =
+        join_mask(1 << p), the least member holding atom p, a nonzero
+        member c contains least[q] for each q ∈ c, so it is minimal iff
+        all of them are c."""
+        least = [self.join_mask(1 << p) for p in range(self.carrier.size)]
+        return canonical_order(self.carrier, [
+            c for c in set(least) if all(least[q] == c for q in ids(c))])
 
     def coatoms(self):
-        """Maximal proper members, in canonical order.
+        """Maximal proper members, in canonical order: the generators that
+        no generator strictly contains.  A coatom is meet-irreducible, so
+        a generator; a proper member above a generator g is the meet of
+        the generators that contain it, each of them ⊋ g."""
+        return canonical_order(self.carrier,
+                               [g for g, up in self._above() if not up])
 
-        On a relation's own system they are the maximal distinct polar
-        rows, n² ANDs and no order core: a proper closed m has m^⊥ ≠ ∅
-        and m = ∩{q^⊥ : q ∈ m^⊥}, so it lies in a row, and each row q^⊥
-        is closed and misses q.  On an explicit family they are the m ≠ Σ
-        whose only strict closed superset is Σ."""
-        full = self.carrier.full
-        if self._of_relation:
-            rows = set(self.carrier.rows)
-            return canonical_order(self.carrier, [
-                r for r in rows
-                if not any(r != s and r | s == s for s in rows)])
-        return [m for m in self.masks
-                if m != full and self.up_set(m).bit_count() == 2]
+    def meet_irreducibles(self):
+        """The members m ≠ Σ that are not the meet of the members above
+        them, in canonical order: the g ∈ G with ∩{h ∈ G : h ⊋ g} ≠ g.  A
+        proper member outside G is the meet of the generators containing
+        it; the members above g are meets of the generators ⊋ g."""
+        gens = self._context[0]
+        return canonical_order(self.carrier, [
+            g for g, up in self._above()
+            if _kernel.polar(gens, up, self.carrier.full) != g])
 
 
 def enumerate_closed(space) -> ClosureSystem:

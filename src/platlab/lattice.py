@@ -256,7 +256,8 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho") -> PermutationGroup:
     before the search); the relation is symmetric, so a complete
     permutation keeps ⊥.  Lattice mode maps the closed sets whose highest
     atom is k as soon as k is placed: their parts below k once per node,
-    then each candidate's bit is added to those images.
+    then each candidate's bit is added to those images.  Candidates go
+    lowest atom first, so the elements come in lexicographic order.
     """
     if mode not in ("lattice", "ortho"):
         raise ValueError(f"unknown mode: {mode}")
@@ -331,7 +332,7 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho") -> PermutationGroup:
         image[k] = -1
 
     backtrack(0, 0)
-    return PermutationGroup(n, tuple(sorted(found)))
+    return PermutationGroup(n, tuple(found))
 
 
 def is_transitive(group: PermutationGroup) -> bool:
@@ -359,7 +360,8 @@ def find_orthocomplementation(sys: ClosureSystem, max_elements=None):
 
     An orthocomplementation is a dual automorphism, so it maps the atoms
     onto the coatoms and the join-irreducibles J onto the meet-irreducibles
-    M; two count filters run first.  Every member a is
+    M; two count filters run first, read off the generators of the family
+    (``ClosureSystem.coatoms``) with no member listed.  Every member a is
     the join of the j ∈ J below it, so a' = ∧{j' : j ≤ a}, and the search
     backtracks over the assignments J → M; the answer is exact on every
     lattice.  On an atomistic lattice J is the atoms.  A table built from
@@ -422,30 +424,19 @@ def find_orthocomplementation(sys: ClosureSystem, max_elements=None):
 
 
 def _irreducibles(sys: ClosureSystem):
-    """The join- and the meet-irreducible members, in canonical order, off
-    the order core, with O(n) big-int operations per member.
+    """The join- and the meet-irreducible members, in canonical order, with
+    no member listed: ``join_mask`` and ``sys.meet_irreducibles()``.
 
     Every member is the join of the least members holding its atoms, so a
     join-irreducible is the least member c holding some atom; such a c is
     join-irreducible iff the atoms of c whose least member is not c join to
-    less than c.  A member m is meet-irreducible iff its strict supersets
-    have a least one, which is then the first of them in canonical order.
+    less than c.
     """
-    masks = sys.masks
-    least = []  # atom p -> the least member holding p
-    for p in range(sys.carrier.size):
-        up = sys.up_set(1 << p)
-        least.append(masks[(up & -up).bit_length() - 1])
+    least = [sys.join_mask(1 << p) for p in range(sys.carrier.size)]
     joins = [c for c in canonical_order(sys.carrier, set(least))
              if sys.join_mask(sum(1 << q for q in ids(c) if least[q] != c))
              != c]
-    meets = []
-    for i, m in enumerate(masks):
-        above = sys.up_set(m) ^ 1 << i
-        if above and above & ~sys.up_set(
-                masks[(above & -above).bit_length() - 1]) == 0:
-            meets.append(m)
-    return joins, meets
+    return joins, sys.meet_irreducibles()
 
 
 def analysis_report(space, sys: ClosureSystem) -> dict:

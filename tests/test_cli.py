@@ -272,6 +272,16 @@ def test_space_quad_over_atom_limit_is_usage_error():
                  "is 64", "PLAT_LIMIT_ATOMS")
 
 
+@pytest.mark.parametrize("raw", ["abc", "-1"])
+def test_bad_atom_limit_is_usage_error(monkeypatch, raw):
+    monkeypatch.setenv("PLAT_LIMIT_ATOMS", raw)
+    res = invoke("space", "quad", "--q", "3")
+    _usage_error(res, f"PLAT_LIMIT_ATOMS must be a positive integer, not "
+                 f"'{raw}'")
+    assert [line.startswith("Error: ")
+            for line in res.output.splitlines()].count(True) == 1
+
+
 def test_verify_l0_isotropic_form_is_usage_error():
     _usage_error(invoke("verify", "--suite", "l0", "--q", "9", "--lam", "2"),
                  "isotropic over GF(9)")

@@ -256,6 +256,18 @@ def test_atom_limit_env(monkeypatch):
     enumerate_closed(make_mo(2))  # at the limit is fine
 
 
+@pytest.mark.parametrize("raw", ["abc", "-1", "0", "", "2.5"])
+def test_atom_limit_refuses_what_is_no_positive_integer(monkeypatch, raw):
+    # a word, a sign, zero, nothing and a fraction: each is refused with
+    # the variable and the value named
+    monkeypatch.setenv("PLAT_LIMIT_ATOMS", raw)
+    with pytest.raises(ValueError, match="^PLAT_LIMIT_ATOMS must be a "
+                       f"positive integer, not '{raw}'$"):
+        atom_limit()
+    with pytest.raises(ValueError, match="PLAT_LIMIT_ATOMS"):
+        enumerate_closed(make_mo(2))
+
+
 def test_brute_force_guard(monkeypatch):
     monkeypatch.setattr(closure, "BRUTE_FORCE_ATOM_LIMIT", 10)
     with pytest.raises(EnumerationLimitError):

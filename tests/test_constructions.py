@@ -416,6 +416,27 @@ def test_tensor_trace_sizes(q, lam, census, monkeypatch):
     assert report.orthocomplementation == "none"
 
 
+@pytest.mark.parametrize("q,lam", [(3, 1), (5, 2), (7, 1)],
+                         ids=["q3-lam1", "q5-lam2", "q7-lam1"])
+def test_trace_atoms_and_coatoms(q, lam, monkeypatch):
+    # the atoms are the (q + 1)² product states and the coatoms exactly the
+    # (q + 1)(q² + 1) hyperplane traces; both are read off the generators,
+    # so the traces are never sorted.  q = 7 has 2,050 traces, above the
+    # default orthocomplementation search limit
+    if q == 7:
+        monkeypatch.setattr(lattice, "ORTHOCOMPLEMENT_SEARCH_LIMIT", 10**9)
+    family, _ = tensor_trace_lattice(q, lam)
+    assert "masks" not in vars(family)
+    assert family.atoms() == [1 << p for p in range((q + 1) ** 2)]
+    hyperplanes = {_row_mask(field(q), lam, row)
+                   for (row,) in enumerate_subspaces(q, 4)[1]}
+    assert len(hyperplanes) == (q + 1) * (q * q + 1)
+    coatoms = family.coatoms()
+    assert len(coatoms) == len(hyperplanes)
+    assert set(coatoms) == hyperplanes
+    assert "masks" not in vars(family)
+
+
 def dot_mask(F, weights, row):
     """Oracle: the trace mask of one row, one ``F.dot`` per product state."""
     points = projective_line_points(F.q)

@@ -1,4 +1,5 @@
-"""The order core of ClosureSystem against the quadratic scans it replaced.
+"""The order queries of ClosureSystem against the quadratic scans they
+replaced.
 
 The ``old_*`` functions below are the scans ``ClosureSystem`` and
 ``platlab.lattice`` used before the order core, kept verbatim as oracles.
@@ -9,7 +10,9 @@ against a brute-force intersection closure).  The atom walk of
 ``ClosureSystem.atoms`` is also checked against a scan of the closed
 subsets of each closed set, on those families and on the tensor traces and
 MO_n × MO_m products, and the explicit join against the meet of the
-supersets.
+supersets.  One explicit family whose generators hold ∅, Σ and a
+reducible set pins the generator context: Σ among the generators must not
+count as a strict superset of the others.
 
 ``orthomodularity``, ``center`` and the polar table of
 ``find_orthocomplementation`` are checked on the same relations against
@@ -26,7 +29,8 @@ checked, verdict and witness, against those oracles and against
 against one kernel polar per member, and the table that
 ``find_orthocomplementation`` returns must be a copy of it.
 A relation system's ``coatoms()``, read off its polar rows, is checked
-against the order-core path of the same sets as an explicit family.
+against the same sets given as an explicit family, whose generators are
+all of them.
 The search of ``find_orthocomplementation`` must find an
 orthocomplementation on every relation system given as an explicit family,
 and on small random families it must answer as an element-by-element
@@ -103,10 +107,6 @@ def down_set_minimal_nonzero(sys):
     masks = sys.masks
     return [m for m in masks
             if m != 0 and sum(x & ~m == 0 for x in masks) == 2]
-
-
-def old_up_profile(sys):
-    return sorted(sum(1 for x in sys.masks if m & ~x == 0) for m in sys.masks)
 
 
 def old_covering_property(sys):
@@ -287,14 +287,9 @@ def _pairs(sys, rnd, count=40):
 
 
 def _agree_with_oracles(sys, rnd):
-    for m in sys.masks:
-        assert sys.up_set(m) == sum(1 << j for j, x in enumerate(sys.masks)
-                                    if m & ~x == 0)
     assert sys.coatoms() == old_coatoms(sys)
     assert lattice._irreducibles(sys) == old_irreducibles(sys)
     assert sys.atoms() == old_minimal_nonzero(sys)
-    assert sorted(sys.up_set(m).bit_count() for m in sys.masks) == \
-        old_up_profile(sys)
     for a, b in _pairs(sys, rnd):
         assert sys.covers(a, b) == old_covers(sys, a, b)
     assert covering_property(sys) == old_covering_property(sys)
@@ -303,11 +298,16 @@ def _agree_with_oracles(sys, rnd):
 @SETTINGS
 @given(relations(), st.randoms(use_true_random=False))
 def test_relation_systems_match_oracles(space, rnd):
-    sys = enumerate_closed(space)
-    assert sys.masks == brute_force_closed(space).masks
-    # read off the rows, without the order core
-    assert sys.coatoms() == ClosureSystem(space, sys.masks).coatoms()
-    assert "_columns" not in vars(sys)
+    sys, brute = enumerate_closed(space), brute_force_closed(space)
+    coatoms = sys.coatoms()
+    # read off the distinct polar rows, however the system was enumerated,
+    # with no member sorted
+    assert brute.coatoms() == coatoms
+    for s in (sys, brute):
+        assert "masks" not in vars(s)
+        assert vars(s)["_context"][0] == tuple(sorted(set(space.rows)))
+    assert sys.masks == brute.masks
+    assert coatoms == ClosureSystem(space, sys.masks).coatoms()
     _agree_with_oracles(sys, rnd)
 
 
@@ -410,9 +410,29 @@ def test_first_matches_the_canonical_scan(spec, rnd):
 def test_order_core_is_lazy():
     sys = ClosureSystem(OrthoSpace(["a", "b"], [0b10, 0b01]),
                         [0, 0b01, 0b10, 0b11])
-    assert "_columns" not in vars(sys)
+    assert "_context" not in vars(sys)
     assert sys.coatoms() == [0b01, 0b10]
-    assert vars(sys)["_columns"] == [0b1010, 0b1100]
+    # the generators but Σ, and per atom the generators holding it
+    assert vars(sys)["_context"] == ((0, 0b01, 0b10), [0b010, 0b100])
+    assert "masks" not in vars(sys)
+
+
+def test_generators_with_empty_full_and_a_reducible_set():
+    # {0} = {0,1} ∩ {0,2} is reducible; ∅ is the one lower cover of {0},
+    # so it is meet-irreducible; Σ is a generator but above no coatom
+    space = OrthoSpace([f"x{i}" for i in range(4)], [0] * 4)
+    sys = ClosureSystem(space, [0, 0b1111, 0b0011, 0b0101, 0b0001, 0b0111])
+    assert sys.coatoms() == [0b0111]
+    assert sys.meet_irreducibles() == [0, 0b0011, 0b0101, 0b0111]
+    assert sys.atoms() == [0b0001]
+    assert [sys.join_mask(1 << p) for p in range(4)] == \
+        [0b0001, 0b0011, 0b0101, 0b1111]
+    assert "masks" not in vars(sys)
+    assert sys.masks == [0, 0b0001, 0b0011, 0b0101, 0b0111, 0b1111]
+    for u in range(16):
+        assert sys.join_mask(u) == _meet_of_supersets(sys.masks, u,
+                                                      space.full)
+    _agree_with_oracles(sys, random.Random(0))
 
 
 # ---------------------------------------------- definition oracles
