@@ -80,26 +80,32 @@ def is_closed_group(elements, degree) -> bool:
 
 def close_group(generators, degree):
     """Group generated by ``generators``: their products, as a finite set
-    of permutations closed under composition is a group."""
+    of permutations closed under composition is a group.  A generator that
+    is not a permutation of 0..degree-1 raises ValueError."""
+    gens = []
+    for g in generators:
+        if not is_permutation(g, degree):
+            raise ValueError(f"generator {g!r} is not a bijection on "
+                             f"{degree} atoms")
+        gens.append(tuple(g))
     ident = tuple(range(degree))
     seen = {ident}
-    frontier = [ident]
-    gens = [tuple(g) for g in generators]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                r = compose(g, p)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-                    if len(seen) > GROUP_SIZE_LIMIT:
-                        raise EnumerationLimitError(
-                            f"generated group exceeds {GROUP_SIZE_LIMIT} "
-                            "elements; raise it by setting "
-                            "platlab.lattice.GROUP_SIZE_LIMIT")
-        frontier = nxt
+    queue = [ident]  # grows as it is read: every product is extended once
+    for p in queue:
+        for g in gens:
+            r = compose(g, p)
+            if r not in seen:
+                seen.add(r)
+                queue.append(r)
+                _check_group_size(len(seen), "generated group")
     return sorted(seen)
+
+
+def _check_group_size(size, what):
+    if size > GROUP_SIZE_LIMIT:
+        raise EnumerationLimitError(
+            f"{what} exceeds {GROUP_SIZE_LIMIT} elements; raise it by "
+            "setting platlab.lattice.GROUP_SIZE_LIMIT")
 
 
 def covering_property(sys: ClosureSystem) -> Verdict:
@@ -126,7 +132,8 @@ def covering_property(sys: ClosureSystem) -> Verdict:
     so the class of b = a ∨ r is the atoms with key b^⊥, and it lies in
     P[key]∖a.  Covering holds at a iff every key but a^⊥ counts
     |P[key]∖a| atoms: one ``Counter`` over the n rows per a.  An explicit
-    family makes its joins, n − |a| ``join_mask`` calls per a.
+    family makes its joins, n − |a| ``join_mask`` calls per a, and counts
+    the atoms r of each join value b against |b∖a| the same way.
     """
     carrier = sys.carrier
     full = carrier.full
@@ -143,10 +150,8 @@ def covering_property(sys: ClosureSystem) -> Verdict:
         return Verdict(True, None)
     for am in sys.masks:
         joins = {r: sys.join_mask(am | 1 << r) for r in ids(full ^ am)}
-        classes = {}
-        for r, bm in joins.items():
-            classes[bm] = classes.get(bm, 0) | 1 << r
-        if any(cls != bm & ~am for bm, cls in classes.items()):
+        if any(k != (bm & ~am).bit_count()
+               for bm, k in Counter(joins.values()).items()):
             return _covering_witness(carrier, am, joins)
     return Verdict(True, None)
 
@@ -247,17 +252,10 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho") -> PermutationGroup:
     Lattice mode accepts any family on the carrier.  Full backtracking
     search up to ``AUTOMORPHISM_SEARCH_LIMIT`` atoms, for a group of at
     most ``GROUP_SIZE_LIMIT`` elements; ``close_group`` gives the group
-    that given permutations generate.
-
-    The search places atoms 0, 1, … in turn.  The candidates for atom k are
-    a mask: the unplaced atoms of k's profile, and in ortho mode, for each
-    j < k, ANDed with ``rows[image[j]]`` where k ⊥ j and with its
-    complement where not (both lists of such j are made once per atom,
-    before the search); the relation is symmetric, so a complete
-    permutation keeps ⊥.  Lattice mode maps the closed sets whose highest
-    atom is k as soon as k is placed: their parts below k once per node,
-    then each candidate's bit is added to those images.  Candidates go
-    lowest atom first, so the elements come in lexicographic order.
+    that given permutations generate.  Each mode has its search; both
+    place atoms 0, 1, … in turn, an atom only on the unplaced atoms of its
+    profile, and try a mask of candidates lowest atom first, so the
+    elements come in lexicographic order.
     """
     if mode not in ("lattice", "ortho"):
         raise ValueError(f"unknown mode: {mode}")
@@ -271,68 +269,78 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho") -> PermutationGroup:
             f"automorphism search limit {AUTOMORPHISM_SEARCH_LIMIT} exceeded "
             f"for {n} atoms; raise it by setting "
             "platlab.lattice.AUTOMORPHISM_SEARCH_LIMIT")
+    found = (_ortho_search(space.rows) if mode == "ortho"
+             else _lattice_search(n, sys.sets))
+    return PermutationGroup(n, tuple(found))
 
-    rows = space.rows
 
-    # profile pruning: atoms may only map to atoms with the same polar
-    # degree in ortho mode, the same closed-set membership signature in
-    # lattice mode
-    def profile(p):
-        if mode == "ortho":
-            return rows[p].bit_count()
-        return tuple(sorted(m.bit_count() for m in sys.sets if m >> p & 1))
+def _class_masks(profiles):
+    """For each atom, the atoms of its profile, as a mask."""
+    return [sum(1 << q for q, pq in enumerate(profiles) if pq == pr)
+            for pr in profiles]
 
-    profs = [profile(p) for p in range(n)]
-    same = {}  # profile -> the atoms that have it, as a mask
-    for p, pr in enumerate(profs):
-        same[pr] = same.get(pr, 0) | 1 << p
-    if mode == "ortho":
-        # for each atom k, the atoms j < k it is orthogonal to and the rest
-        orth_below = [ids(rows[k] & ((1 << k) - 1)) for k in range(n)]
-        apart_below = [ids(~rows[k] & ((1 << k) - 1)) for k in range(n)]
-    else:
-        # the closed sets whose highest atom is k are mapped, and must land
-        # in the family, as soon as atom k is placed
-        by_top = [[] for _ in range(n)]
-        for m in sys.sets:
-            if m:
-                by_top[m.bit_length() - 1].append(m)
-    found = []
-    image = [-1] * n
+
+def _ortho_search(rows):
+    """The automorphisms of the graph ⊥, profiled by degree |p^⊥|.  The
+    candidates for atom k are ANDed, for each j < k, with
+    ``rows[image[j]]`` where k ⊥ j and with its complement where not; ⊥ is
+    symmetric, so a complete permutation keeps ⊥."""
+    n = len(rows)
+    classes = _class_masks([row.bit_count() for row in rows])
+    orth_below = [ids(rows[k] & ((1 << k) - 1)) for k in range(n)]
+    apart_below = [ids(~rows[k] & ((1 << k) - 1)) for k in range(n)]
+    found, image = [], [-1] * n
 
     def backtrack(k, placed):
         if k == n:
-            # ortho mode compared orth(k, j) for every j < k; the relation
-            # is symmetric, so that covers every pair
             found.append(tuple(image))
-            if len(found) > GROUP_SIZE_LIMIT:
-                raise EnumerationLimitError(
-                    f"automorphism group exceeds {GROUP_SIZE_LIMIT} "
-                    "elements; raise it by setting "
-                    "platlab.lattice.GROUP_SIZE_LIMIT")
+            _check_group_size(len(found), "automorphism group")
             return
-        # the unplaced atoms of k's profile; in ortho mode, of those, the
-        # atoms orthogonal to image[j] exactly where k is to j, for j < k
-        cand = same[profs[k]] & ~placed
-        if mode == "ortho":
-            for j in orth_below[k]:
-                cand &= rows[image[j]]
-            for j in apart_below[k]:
-                cand &= ~rows[image[j]]
-        else:
-            below = [apply_perm_mask(image, m ^ 1 << k) for m in by_top[k]]
+        cand = classes[k] & ~placed
+        for j in orth_below[k]:
+            cand &= rows[image[j]]
+        for j in apart_below[k]:
+            cand &= ~rows[image[j]]
         while cand:
             low = cand & -cand
             cand ^= low
             image[k] = low.bit_length() - 1
-            if mode == "lattice" and not all(
-                    pre | low in sys.sets for pre in below):
-                continue
             backtrack(k + 1, placed | low)
-        image[k] = -1
 
     backtrack(0, 0)
-    return PermutationGroup(n, tuple(found))
+    return found
+
+
+def _lattice_search(n, sets):
+    """The permutations of n atoms mapping the family ``sets`` into, so
+    onto, itself, profiled by the sorted sizes of the sets holding an atom.
+    The sets whose highest atom is k are mapped once k is placed: their
+    parts below k once per node, then each candidate's bit is added."""
+    classes = _class_masks([
+        tuple(sorted(m.bit_count() for m in sets if m >> p & 1))
+        for p in range(n)])
+    by_top = [[] for _ in range(n)]
+    for m in sets:
+        if m:
+            by_top[m.bit_length() - 1].append(m)
+    found, image = [], [-1] * n
+
+    def backtrack(k, placed):
+        if k == n:
+            found.append(tuple(image))
+            _check_group_size(len(found), "automorphism group")
+            return
+        cand = classes[k] & ~placed
+        below = [apply_perm_mask(image, m ^ 1 << k) for m in by_top[k]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if all(pre | low in sets for pre in below):
+                image[k] = low.bit_length() - 1
+                backtrack(k + 1, placed | low)
+
+    backtrack(0, 0)
+    return found
 
 
 def is_transitive(group: PermutationGroup) -> bool:

@@ -72,9 +72,11 @@ def _rows_from_pairs(rows, pairs):
 
 
 def make_mo(n: int) -> OrthoSpace:
-    """MO_n: 2n atoms in n orthogonal pairs a1,a1',...,an,an'."""
+    """MO_n: 2n atoms in n orthogonal pairs a1,a1',...,an,an'; the 2n
+    atoms are checked against ``atom_limit()`` before any row is built."""
     if n < 1:
         raise ValueError("empty orthospace")
+    _require_atoms_within_limit(2 * n, f"MO_{n}")
     labels = []
     for i in range(1, n + 1):
         labels += [f"a{i}", f"a{i}'"]
@@ -83,12 +85,22 @@ def make_mo(n: int) -> OrthoSpace:
 
 
 def make_powerset_space(n: int) -> OrthoSpace:
-    """n atoms, distinct atoms orthogonal; its closure system is 2^Σ."""
+    """n atoms, distinct atoms orthogonal; its closure system is 2^Σ.  The
+    n atoms are checked against ``atom_limit()`` before any row is built."""
     if n < 1:
         raise ValueError("empty orthospace")
+    _require_atoms_within_limit(n, "the powerset space")
     full = (1 << n) - 1
     rows = [full ^ (1 << i) for i in range(n)]
     return OrthoSpace([f"p{i + 1}" for i in range(n)], rows)
+
+
+def _require_atoms_within_limit(atoms, what):
+    limit = atom_limit()
+    if atoms > limit:
+        raise EnumerationLimitError(
+            f"{what} has {atoms} atoms, enumeration limit is {limit}; raise "
+            "it with PLAT_LIMIT_ATOMS")
 
 
 def projective_line_points(q: int):
@@ -109,11 +121,7 @@ def make_quadratic_line_space(q: int, lam: int) -> OrthoSpace:
     if q % 2 == 0:
         raise ValueError("even q rejected: characteristic-2 symmetric forms "
                          "are alternating, violating anti-reflexivity")
-    limit = atom_limit()
-    if q + 1 > limit:
-        raise EnumerationLimitError(
-            f"the line over GF({q}) has {q + 1} atoms, enumeration limit is "
-            f"{limit}; raise it with PLAT_LIMIT_ATOMS")
+    _require_atoms_within_limit(q + 1, f"the line over GF({q})")
     F = field(q)
     if not 0 < lam < q:
         raise ValueError(f"lambda must be a nonzero element of GF({q})")

@@ -424,16 +424,13 @@ def p_hash_components(prod: ProductSpace, p: int):
 
     Returns (s₁, s₂, k): s₁ = {q₁ : q₁×Σ₂ ⊆ p^⊥}, symmetrically s₂, and
     k = |{q : q's # coatom ⊆ p^⊥}| (k > 1 signals a P3 failure); p^⊥ is
-    the row of p."""
-    perp = prod.rows[p]
-    s1 = 0
-    for i in range(prod.left.size):
-        if prod.cylinder1(1 << i) & ~perp == 0:
-            s1 |= 1 << i
-    s2 = 0
-    for j in range(prod.right.size):
-        if prod.cylinder2(1 << j) & ~perp == 0:
-            s2 |= 1 << j
+    the row of p.  Block i, the atoms i·|Σ₂|+j, is q₁ = i; column j, every
+    |Σ₂|-th atom from j, is q₂ = j."""
+    perp, n2, right = prod.rows[p], prod.right.size, prod.right.full
+    col = prod.cylinder2(1)
+    s1 = sum(1 << i for i in range(prod.left.size)
+             if perp >> i * n2 & right == right)
+    s2 = sum(1 << j for j in range(n2) if perp >> j & col == col)
     k = sum(row & ~perp == 0 for row in _sharp_rows(prod.left, prod.right))
     return AtomSubset(prod.left, s1), AtomSubset(prod.right, s2), k
 

@@ -272,6 +272,17 @@ def test_space_quad_over_atom_limit_is_usage_error():
                  "is 64", "PLAT_LIMIT_ATOMS")
 
 
+@pytest.mark.parametrize("args,fragment", [
+    (("mo", "--n", "1000000"), "MO_1000000 has 2000000 atoms"),
+    (("powerset", "--n", "3000"), "the powerset space has 3000 atoms"),
+], ids=["mo", "powerset"])
+def test_space_over_atom_limit_is_usage_error(args, fragment):
+    # refused before a row is built: MO_1000000's rows would be ints of up
+    # to 2,000,000 bits
+    _usage_error(invoke("space", *args), fragment,
+                 "enumeration limit is 64", "PLAT_LIMIT_ATOMS")
+
+
 @pytest.mark.parametrize("raw", ["abc", "-1"])
 def test_bad_atom_limit_is_usage_error(monkeypatch, raw):
     monkeypatch.setenv("PLAT_LIMIT_ATOMS", raw)

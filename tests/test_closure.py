@@ -279,6 +279,11 @@ def _mo2_ortho_group():
     return automorphisms(mo2, enumerate_closed(mo2), mode="ortho")
 
 
+def _mo2_lattice_group():
+    mo2 = make_mo(2)
+    return automorphisms(mo2, enumerate_closed(mo2), mode="lattice")
+
+
 def _hexagon_search():
     # an explicit family of 6 elements, so the search runs and is limited
     space = OrthoSpace(["a", "b", "c", "d"], [0b1000, 0b0100, 0b1010, 0b0101])
@@ -289,6 +294,7 @@ def _hexagon_search():
 @pytest.mark.parametrize("module,name,answered_at,call", [
     (lattice, "AUTOMORPHISM_SEARCH_LIMIT", 4, _mo2_ortho_group),  # atoms
     (lattice, "GROUP_SIZE_LIMIT", 8, _mo2_ortho_group),  # elements listed
+    (lattice, "GROUP_SIZE_LIMIT", 24, _mo2_lattice_group),  # all of S_4
     (lattice, "GROUP_SIZE_LIMIT", 8,
      lambda: close_group([(1, 0, 2, 3), (2, 3, 0, 1)], 4)),
     (lattice, "ORTHOCOMPLEMENT_SEARCH_LIMIT", 6, _hexagon_search),
@@ -296,7 +302,8 @@ def _hexagon_search():
      lambda: brute_force_closed(make_mo(2))),
     (constructions, "SUBSPACE_ENUM_LIMIT", 212,  # all of GF(3)^4
      lambda: enumerate_subspaces(3, 4)),
-], ids=["automorphism-search", "group-size-search", "group-size-closure",
+], ids=["automorphism-search", "group-size-search",
+        "group-size-lattice-search", "group-size-closure",
         "orthocomplement-search", "brute-force", "subspace-enumeration"])
 def test_each_limit_constant_moves_its_refusal(monkeypatch, module, name,
                                                answered_at, call):
@@ -308,3 +315,23 @@ def test_each_limit_constant_moves_its_refusal(monkeypatch, module, name,
     with pytest.raises(EnumerationLimitError,
                        match=re.escape(f"{module.__name__}.{name}")):
         call()
+
+
+def test_unknown_automorphism_mode_is_refused_before_the_carrier_check():
+    # MO3's system on MO2 would fail either mode's carrier check
+    with pytest.raises(ValueError) as exc:
+        automorphisms(make_mo(2), enumerate_closed(make_mo(3)), mode="graph")
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "unknown mode: graph"
+
+
+@pytest.mark.parametrize("generator,degree", [
+    ((0, 0), 2),  # an atom twice
+    ((0, 1, 2), 2),  # too long
+    ((1, 0), 3),  # too short
+])
+def test_close_group_refuses_a_generator_that_is_no_permutation(generator,
+                                                                degree):
+    with pytest.raises(ValueError, match=re.escape(
+            f"generator {generator!r} is not a bijection on {degree} atoms")):
+        close_group([generator], degree)

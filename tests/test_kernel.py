@@ -279,16 +279,18 @@ def test_closure_of_q3_trace_subfamilies_matches_bfs(q3_traces, data):
         _closure_or_limit(old_intersection_closure, seeds, full, limit)
 
 
-def test_pure_kernel_handles_wide_carriers():
+def test_pure_kernel_handles_wide_carriers(monkeypatch):
     # the kernel works on ints of any width
+    monkeypatch.setenv("PLAT_LIMIT_ATOMS", "70")
     s = make_powerset_space(70)
     m = (1 << 70) - 2
     assert pykernel.polar(s.rows, m, s.full) == 1
     assert pykernel.biclosure(s.rows, 1, s.full) == 1
 
 
-def test_dispatch_falls_back_above_64_atoms():
+def test_dispatch_falls_back_above_64_atoms(monkeypatch):
     # the package entry point takes carriers wider than a machine word
+    monkeypatch.setenv("PLAT_LIMIT_ATOMS", "70")
     s = make_powerset_space(70)
     assert _kernel.polar(s.rows, 1, s.full) == s.full ^ 1
 

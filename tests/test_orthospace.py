@@ -23,6 +23,20 @@ def test_mo_rejects_zero():
         make_mo(0)
 
 
+@pytest.mark.parametrize("make,atoms_per_n", [(make_mo, 2),
+                                              (make_powerset_space, 1)])
+def test_space_builders_refuse_atoms_past_the_limit(monkeypatch, make,
+                                                    atoms_per_n):
+    # MO_n has 2n atoms and the powerset space n: answered at the limit,
+    # refused one step past it
+    monkeypatch.setenv("PLAT_LIMIT_ATOMS", "12")
+    assert make(12 // atoms_per_n).size == 12
+    with pytest.raises(EnumerationLimitError,
+                       match=f"{12 + atoms_per_n} atoms, enumeration limit "
+                             "is 12"):
+        make(12 // atoms_per_n + 1)
+
+
 def test_powerset_space_all_pairs():
     s = make_powerset_space(4)
     assert len(s.pairs()) == 6

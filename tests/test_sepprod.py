@@ -351,6 +351,28 @@ def test_p_hash_components(mo2_product):
                for p in range(prod.size))
 
 
+def test_p_hash_components_are_the_cylinders_in_the_polar():
+    # factors of 2 and 3 atoms, so blocks and columns differ in length, and
+    # random relations, so the shadows are not those of #
+    left, right = make_mo(1), make_powerset_space(3)
+    n = left.size * right.size
+    rng = random.Random(0)
+    for _ in range(30):
+        pairs = [(p, q) for p in range(n) for q in range(p + 1, n)
+                 if rng.random() < 0.7]
+        prod = ProductSpace(left, right, _rows_from_pairs([0] * n, pairs),
+                            "random")
+        for p in range(n):
+            s1, s2, _ = p_hash_components(prod, p)
+            perp = prod.rows[p]
+            assert s1.bits == sum(
+                1 << i for i in range(left.size)
+                if prod.cylinder1(1 << i) & ~perp == 0)
+            assert s2.bits == sum(
+                1 << j for j in range(right.size)
+                if prod.cylinder2(1 << j) & ~perp == 0)
+
+
 def test_daniel_lift_failure_witness(mo2_sys, pow3_sys):
     with pytest.raises(DanielConditionError) as exc:
         daniel_lift([0, 0, 1, 2], mo2_sys, pow3_sys)
