@@ -39,7 +39,7 @@ class PermutationGroup:
 
 def compose(p, q):
     """(p∘q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple(map(p.__getitem__, q))
 
 
 def is_permutation(u, degree) -> bool:
@@ -249,13 +249,14 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho") -> PermutationGroup:
     """Atom permutations preserving the closed-set family, and for
     mode='ortho' additionally commuting with the polarity on atoms.
 
-    Lattice mode accepts any family on the carrier.  Full backtracking
-    search up to ``AUTOMORPHISM_SEARCH_LIMIT`` atoms, for a group of at
-    most ``GROUP_SIZE_LIMIT`` elements; ``close_group`` gives the group
-    that given permutations generate.  Each mode has its search; both
-    place atoms 0, 1, … in turn, an atom only on the unplaced atoms of its
-    profile, and try a mask of candidates lowest atom first, so the
-    elements come in lexicographic order.
+    Lattice mode accepts any family on the carrier.  Up to
+    ``AUTOMORPHISM_SEARCH_LIMIT`` atoms the group is found from a base and
+    strong generating set (``_group_elements``), and listed in
+    lexicographic order if its order is at most ``GROUP_SIZE_LIMIT``;
+    ``close_group`` gives the group that given permutations generate.  Each
+    mode has its first-extension search; both place atoms i, i+1, … in
+    turn after the fixed 0 … i−1, an atom only on the unplaced atoms of its
+    profile, and try a mask of candidates lowest atom first.
     """
     if mode not in ("lattice", "ortho"):
         raise ValueError(f"unknown mode: {mode}")
@@ -269,9 +270,64 @@ def automorphisms(space, sys: ClosureSystem, mode="ortho") -> PermutationGroup:
             f"automorphism search limit {AUTOMORPHISM_SEARCH_LIMIT} exceeded "
             f"for {n} atoms; raise it by setting "
             "platlab.lattice.AUTOMORPHISM_SEARCH_LIMIT")
-    found = (_ortho_search(space.rows) if mode == "ortho"
-             else _lattice_search(n, sys.sets))
-    return PermutationGroup(n, tuple(found))
+    extend = (_ortho_search(space.rows) if mode == "ortho"
+              else _lattice_search(n, sys.sets))
+    return PermutationGroup(n, tuple(_group_elements(n, extend)))
+
+
+def _group_elements(n, extend):
+    """The sorted elements of the group G of the permutations that
+    ``extend`` finds: ``extend(i, c)`` returns one that fixes 0 … i−1 and
+    sends i to c, or None where G has none.
+
+    Levels i = n−1 down to 0 find the orbit of atom i under G_i, the
+    elements fixing 0 … i−1 (Sims' base and strong generating set on the
+    base 0, 1, …, n−1).  The generators found so far fix 0 … i and
+    generate G_{i+1}; each image c of i outside their orbit of i is asked
+    of ``extend``.  A hit joins the generators.  A miss rules out c's orbit
+    under them: an element of G_i sending i to a point of it, composed with
+    one of them, would send i to c.  So |G| is the product of the orbit
+    sizes, checked against ``GROUP_SIZE_LIMIT`` before anything is listed,
+    and each element is one product u_0∘u_1∘…∘u_{n−1}, u_i a coset
+    representative of G_{i+1} in G_i.
+    """
+    ident = tuple(range(n))
+    gens, transversals, order = [], [], 1
+    for i in reversed(range(n)):
+        reps = _orbit(i, gens, ident)
+        ruled_out = set(reps)
+        for c in range(i + 1, n):
+            if c in ruled_out:
+                continue
+            found = extend(i, c)
+            if found is None:
+                ruled_out.update(_orbit(c, gens, ident))
+            else:
+                gens.append(found)
+                reps = _orbit(i, gens, ident)
+                ruled_out.update(reps)
+        transversals.append(list(reps.values()))
+        order *= len(reps)
+    _check_group_size(order, "automorphism group")
+    elements = [ident]
+    for reps in transversals:  # u_{n−1} first, so u_0 ends on the left
+        if len(reps) > 1:
+            elements = [compose(u, e) for u in reps for e in elements]
+    return sorted(elements)
+
+
+def _orbit(point, gens, ident):
+    """The orbit of ``point`` under the group that ``gens`` generate, each
+    point q with a product of generators sending ``point`` to q."""
+    reps = {point: ident}
+    queue = [point]  # grows as it is read, as in close_group
+    for q in queue:
+        for g in gens:
+            r = g[q]
+            if r not in reps:
+                reps[r] = compose(g, reps[q])
+                queue.append(r)
+    return reps
 
 
 def _class_masks(profiles):
@@ -281,41 +337,51 @@ def _class_masks(profiles):
 
 
 def _ortho_search(rows):
-    """The automorphisms of the graph ⊥, profiled by degree |p^⊥|.  The
-    candidates for atom k are ANDed, for each j < k, with
-    ``rows[image[j]]`` where k ⊥ j and with its complement where not; ⊥ is
-    symmetric, so a complete permutation keeps ⊥."""
+    """The first-extension search for the automorphisms of the graph ⊥,
+    profiled by degree |p^⊥|: ``extend(i, c)`` returns the least one that
+    fixes 0 … i−1 and sends i to c, or None.  The search starts at atom i
+    on the identity prefix, which needs no check, as the identity is an
+    automorphism.  The candidates for atom k are ANDed, for each j < k,
+    with ``rows[image[j]]`` where k ⊥ j and with its complement where not;
+    ⊥ is symmetric, so a complete permutation keeps ⊥."""
     n = len(rows)
     classes = _class_masks([row.bit_count() for row in rows])
     orth_below = [ids(rows[k] & ((1 << k) - 1)) for k in range(n)]
     apart_below = [ids(~rows[k] & ((1 << k) - 1)) for k in range(n)]
-    found, image = [], [-1] * n
+    image = [-1] * n
 
-    def backtrack(k, placed):
-        if k == n:
-            found.append(tuple(image))
-            _check_group_size(len(found), "automorphism group")
-            return
-        cand = classes[k] & ~placed
-        for j in orth_below[k]:
-            cand &= rows[image[j]]
-        for j in apart_below[k]:
-            cand &= ~rows[image[j]]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            image[k] = low.bit_length() - 1
-            backtrack(k + 1, placed | low)
+    def extend(i, c):
+        def backtrack(k, placed):
+            if k == n:
+                return tuple(image)
+            cand = classes[k] & ~placed
+            if k == i:
+                cand &= 1 << c
+            for j in orth_below[k]:
+                cand &= rows[image[j]]
+            for j in apart_below[k]:
+                cand &= ~rows[image[j]]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                image[k] = low.bit_length() - 1
+                found = backtrack(k + 1, placed | low)
+                if found:
+                    return found
+            return None
 
-    backtrack(0, 0)
-    return found
+        image[:i] = range(i)
+        return backtrack(i, (1 << i) - 1)
+
+    return extend
 
 
 def _lattice_search(n, sets):
-    """The permutations of n atoms mapping the family ``sets`` into, so
-    onto, itself, profiled by the sorted sizes of the sets holding an atom.
-    The sets whose highest atom is k are mapped once k is placed: their
-    parts below k once per node, then each candidate's bit is added."""
+    """The first-extension search for the permutations of n atoms mapping
+    the family ``sets`` into, so onto, itself, profiled by the sorted sizes
+    of the sets holding an atom; ``extend`` as in ``_ortho_search``.  The
+    sets whose highest atom is k are mapped once k is placed: their parts
+    below k once per node, then each candidate's bit is added."""
     classes = _class_masks([
         tuple(sorted(m.bit_count() for m in sets if m >> p & 1))
         for p in range(n)])
@@ -323,24 +389,30 @@ def _lattice_search(n, sets):
     for m in sets:
         if m:
             by_top[m.bit_length() - 1].append(m)
-    found, image = [], [-1] * n
+    image = [-1] * n
 
-    def backtrack(k, placed):
-        if k == n:
-            found.append(tuple(image))
-            _check_group_size(len(found), "automorphism group")
-            return
-        cand = classes[k] & ~placed
-        below = [apply_perm_mask(image, m ^ 1 << k) for m in by_top[k]]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            if all(pre | low in sets for pre in below):
-                image[k] = low.bit_length() - 1
-                backtrack(k + 1, placed | low)
+    def extend(i, c):
+        def backtrack(k, placed):
+            if k == n:
+                return tuple(image)
+            cand = classes[k] & ~placed
+            if k == i:
+                cand &= 1 << c
+            below = [apply_perm_mask(image, m ^ 1 << k) for m in by_top[k]]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                if all(pre | low in sets for pre in below):
+                    image[k] = low.bit_length() - 1
+                    found = backtrack(k + 1, placed | low)
+                    if found:
+                        return found
+            return None
 
-    backtrack(0, 0)
-    return found
+        image[:i] = range(i)
+        return backtrack(i, (1 << i) - 1)
+
+    return extend
 
 
 def is_transitive(group: PermutationGroup) -> bool:

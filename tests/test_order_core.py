@@ -42,7 +42,9 @@ search, run on the same sets as an explicit family.  On a few products,
 relabelled ones and one where both laws hold, ``covering_property`` and
 ``orthomodularity`` are checked against the same oracles, and
 ``automorphisms`` against the search it replaced, which took the images of
-each atom from a scan over all atoms.
+each atom from a scan over all atoms; its order must be the product of the
+orbit sizes of the listed elements, and its searches are bounded in
+``backtrack`` calls, powerset(10)'s refusal included.
 """
 
 import random
@@ -62,9 +64,10 @@ from platlab import _kernel, lattice, separated_product
 from platlab.bits import ids
 from platlab.closure import canonical_first
 from platlab.constructions import tensor_trace_lattice
-from platlab.lattice import (apply_perm_mask, automorphisms, center,
-                             covering_property, find_orthocomplementation,
-                             is_closed_group, orthomodularity)
+from platlab.lattice import (analysis_report, apply_perm_mask,
+                             automorphisms, center, covering_property,
+                             find_orthocomplementation, is_closed_group,
+                             orthomodularity)
 from platlab.orthospace import Verdict
 
 MAX_ATOMS = 10
@@ -647,6 +650,8 @@ def test_lattice_automorphisms_of_mo1_x_mo2_match_all_permutations():
     lattice = automorphisms(prod, sys, mode="lattice")
     assert set(lattice.elements) == keeps_family
     assert len(lattice) == 1152
+    assert lattice.elements == old_automorphisms(prod, sys, "lattice")
+    assert _orbit_product(lattice.elements, prod.size) == 1152
 
 
 def test_lattice_automorphisms_of_mo2_x_mo2():
@@ -659,6 +664,17 @@ def test_lattice_automorphisms_of_mo2_x_mo2():
     assert is_closed_group(lattice.elements, prod.size)
     assert lattice.elements == old_automorphisms(prod, sys, "lattice")
     assert ortho.elements == old_automorphisms(prod, sys, "ortho")
+    assert _orbit_product(lattice.elements, prod.size) == 1152
+    assert _orbit_product(ortho.elements, prod.size) == 128
+
+
+def _orbit_product(elements, n):
+    """The product over i of the orbit of atom i under the listed elements
+    that fix 0 … i−1: a group's order, by the orbit-stabiliser theorem."""
+    order = 1
+    for i in range(n):
+        order *= len({g[i] for g in elements if g[:i] == tuple(range(i))})
+    return order
 
 
 # ------------------------------------------ oracles on the products
@@ -727,6 +743,19 @@ def test_ortho_automorphisms_of_mo2_x_mo3_match_the_per_atom_search(
     ortho = automorphisms(prod, sys, mode="ortho")
     assert len(ortho) == 384
     assert ortho.elements == old_automorphisms(prod, sys, "ortho")
+    assert _orbit_product(ortho.elements, prod.size) == 384
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_ortho_automorphisms_of_relabelled_mo2_x_mo2(seed):
+    # the factors as the benchmark ladder draws them at this seed: the base
+    # 0, 1, … of the search meets the atoms in another order each time
+    rng = random.Random(seed)
+    prod, sys = separated_product(_relabelled(make_mo(2), rng),
+                                  _relabelled(make_mo(2), rng))
+    ortho = automorphisms(prod, sys, mode="ortho")
+    assert ortho.elements == old_automorphisms(prod, sys, "ortho")
+    assert len(ortho) == _orbit_product(ortho.elements, prod.size) == 128
 
 
 class _SearchTooWide(Exception):
@@ -738,8 +767,8 @@ def test_ortho_automorphism_search_is_pruned(monkeypatch, n, m):
     # an edge-preserving bijection of a finite graph is an automorphism, so
     # without the ⊥ constraint on the candidates, or without the non-⊥
     # one, the search lists the same group after far more nodes: count the
-    # calls of its nested backtrack (5,761 on MO2×MO2 and 81,169 on
-    # MO2×MO3), and stop the search once they pass the bound
+    # calls of its nested backtrack (239 on MO2×MO2 and 2,578 on MO2×MO3),
+    # and stop the search once they pass the bound
     prod, sys = separated_product(make_mo(n), make_mo(m))
     monkeypatch.setattr(lattice, "AUTOMORPHISM_SEARCH_LIMIT", prod.size)
     calls = 0
@@ -759,6 +788,55 @@ def test_ortho_automorphism_search_is_pruned(monkeypatch, n, m):
                     "100,000 nodes")
     finally:
         setprofile(None)
+
+
+def _bounded_search(call, bound, names=("backtrack",)):
+    """What ``call()`` returns, failing the test once it has made more than
+    ``bound`` calls of functions with these names."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name in names:
+            calls += 1
+            if calls > bound:
+                raise _SearchTooWide
+
+    setprofile(count)
+    try:
+        return call()
+    except _SearchTooWide:
+        pytest.fail(f"more than {bound:,} calls of {names}")
+    finally:
+        setprofile(None)
+
+
+@pytest.mark.parametrize("n,m,bound,order", [(2, 2, 1_000, 128),
+                                             (2, 3, 10_000, 384),
+                                             (3, 3, 10_000, 4608)])
+def test_ortho_automorphisms_are_searched_once_per_orbit_point(
+        monkeypatch, n, m, bound, order):
+    # a search per candidate image of each base atom, not per element: the
+    # search that listed the elements made 5,761 calls on MO2×MO2 and
+    # 81,169 on MO2×MO3.  On MO3×MO3 the bound holds (5,962 calls) only
+    # because a miss rules out the orbit of its image (24,643 without)
+    prod, sys = separated_product(make_mo(n), make_mo(m))
+    monkeypatch.setattr(lattice, "AUTOMORPHISM_SEARCH_LIMIT", prod.size)
+    group = _bounded_search(lambda: automorphisms(prod, sys, mode="ortho"),
+                            bound)
+    assert len(group) == order
+
+
+def test_powerset_10_group_is_refused_on_its_order():
+    # 10! = 3,628,800 > GROUP_SIZE_LIMIT: refused on the product of the
+    # orbit sizes, found by a few searches per base atom, before any
+    # element is listed by composing coset representatives (the search
+    # that refused it on the listing took 1.7 s and 146 MB)
+    space = make_powerset_space(10)
+    sys = enumerate_closed(space)
+    report = _bounded_search(lambda: analysis_report(space, sys), 1_000,
+                             names=("backtrack", "compose"))
+    assert report["aut_order"] is None
 
 
 def _direct_sum(left, right):
